@@ -25,6 +25,8 @@
 #                      network chaos transport, journal epoch fencing on
 #                      resume, -local loopback determinism, SIGKILL-a-worker
 #                      recovery with real coordinator/worker processes)
+#   make test-perfbench tier 1.5: the cold-sweep benchmark's own tests
+#                      (perfbench/ is a separate module, outside ./...)
 #   make vet           static hygiene: go vet + gofmt -l (fails on diff);
 #                      runs as part of `make test`
 #   make race          tier 2: vet + race detector over the short suite
@@ -49,11 +51,11 @@ BENCH_MEASURE ?= 60000
 BENCH_LOCAL   ?= 0
 GIT_SHA       := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all test test-alloc test-robust test-sample test-obs test-store test-fabric vet race fuzz bench bench-stat bench-json bench-compare fmt
+.PHONY: all test test-alloc test-robust test-sample test-obs test-store test-fabric test-perfbench vet race fuzz bench bench-stat bench-json bench-compare fmt
 
 all: test test-alloc race fuzz
 
-test: vet test-robust test-sample test-obs test-store test-fabric
+test: vet test-robust test-sample test-obs test-store test-fabric test-perfbench
 	$(GO) build ./...
 	$(GO) test ./...
 
@@ -125,6 +127,11 @@ test-fabric:
 		-run 'Fabric|ParseInject|InProcessInject|EnumerateCells|ResumeFenced|Prefetch'
 	$(GO) test -race -count=1 ./cmd/pfe-bench/ -run 'TestFabric'
 
+# The benchmark driver is a module of its own (it compiles the repository
+# through a replace directive), so `go test ./...` at the root skips it.
+test-perfbench:
+	cd perfbench && $(GO) test .
+
 # Allocation guards, run on their own so a perf PR can iterate on just
 # them: the steady-state cycle loop must not allocate at all, and a
 # /metrics scrape must stay bounded. Both also run as part of `make test`.
@@ -142,6 +149,7 @@ fuzz:
 	$(GO) test ./internal/emu/ -run='^$$' -fuzz=FuzzEmuVsInterp -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/program/ -run='^$$' -fuzz=FuzzProgramAsm -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/sim/ -run='^$$' -fuzz=FuzzFrontEndsAgree -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
+	$(GO) test ./internal/backend/ -run='^$$' -fuzz=FuzzBackendAgainstReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/artifact/ -run='^$$' -fuzz=FuzzTapeBlockCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 
 bench:

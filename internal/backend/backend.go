@@ -43,20 +43,23 @@ type Op struct {
 	Inst isa.Inst
 
 	// Producers are the Seqs of the instructions producing this op's
-	// register sources (up to 3; NProd valid entries). Ops whose
-	// producers have left the window treat those sources as ready.
+	// register sources (up to 3; NProd valid entries), all older than the
+	// op itself. Ops whose producers have left the window treat those
+	// sources as ready.
 	Producers [3]uint64
 	NProd     int
 
-	WrongPath bool
 	EA        uint64 // effective address for right-path memory ops
+	WrongPath bool
 
-	// MispredictPoint marks the op whose execution reveals a front-end
+	// mispredict marks the op whose execution reveals a front-end
 	// misprediction; when it completes, the simulator redirects fetch.
-	MispredictPoint bool
+	mispredict bool
 
 	issued bool
 	done   uint64 // completion cycle (valid once issued)
+
+	win *Backend // the window holding the op; nil outside any window
 }
 
 // Issued reports whether the op has been selected for execution, and Done
@@ -64,19 +67,54 @@ type Op struct {
 func (o *Op) Issued() bool { return o.issued }
 func (o *Op) Done() uint64 { return o.done }
 
+// MispredictPoint reports whether the op is flagged as the one whose
+// execution reveals a front-end misprediction.
+func (o *Op) MispredictPoint() bool { return o.mispredict }
+
+// MarkMispredictPoint flags the op as a mispredict point. It may be called
+// before the op is inserted or while it sits in a window (the stream flags
+// the previous fragment's last op retroactively); the window learns of the
+// flag either way.
+func (o *Op) MarkMispredictPoint() {
+	o.mispredict = true
+	if o.win != nil {
+		o.win.addPoint(o)
+	}
+}
+
 // ResetExec clears scheduling state so a squashed op can be re-inserted
-// (live-out misprediction recovery re-renames squashed fragments).
+// (live-out misprediction recovery re-renames squashed fragments). The op
+// must be squashed from the window before its next Cycle.
 func (o *Op) ResetExec() {
 	o.issued = false
 	o.done = 0
 }
 
+// waiter is an unissued op in the issue queue with its cached wakeup
+// state: readyAt is the cycle every in-window producer's result is
+// available, or unknownReady while some producer has not issued — blk, once
+// found, so that later cycles recheck only that one. A producer cannot
+// leave the window unissued without squashing its consumers too, so the
+// cache only goes stale when an older op enters the window (forgetReady).
+type waiter struct {
+	op      *Op
+	readyAt uint64
+	blk     *Op
+}
+
+const unknownReady = ^uint64(0)
+
 // Backend is the out-of-order execution engine.
+//
+// The window is three seq-ordered lists over the same in-flight ops: order
+// holds every op (commit walks its head), waiting only the unissued ones
+// with their wakeup state (the issue scan), and points only the flagged
+// mispredict points (the resolution check). Producers are found through
+// slots, a direct-mapped table indexed by seq whose entries are exactly the
+// in-window ops.
 type Backend struct {
 	cfg Config
 	d   *mem.Cache // L1 data cache (loads/stores go through it)
-
-	window map[uint64]*Op // in-flight ops by seq
 
 	// order is the seq-ordered FIFO of in-flight ops. Commit advances head
 	// instead of re-slicing the front (which loses front capacity and
@@ -85,6 +123,23 @@ type Backend struct {
 	// capacity — and the cycle loop's allocation count — stays constant.
 	order []*Op
 	head  int
+
+	waiting []waiter // unissued in-window ops, seq order
+	points  []*Op    // in-window ops flagged as mispredict points, seq order
+
+	// wake is the soonest cached ready cycle left by the last issue scan.
+	// Until then no waiting op can issue: the others are blocked on an
+	// unissued producer, and producers issue only in scans, which also
+	// recheck their (younger) consumers. Insert resets it, so Cycle skips
+	// the scan only when it provably issues nothing.
+	wake uint64
+
+	// slots[seq&mask] is the in-window op with that seq, or nil. The
+	// table is a power of two and doubles only when two in-window ops
+	// would share a slot, so its size tracks the seq span of the window
+	// (squashes leave gaps), not the number of ops.
+	slots []*Op
+	mask  uint64
 
 	// res is the reused Resolution returned by Cycle; valid until the next
 	// Cycle call (the simulator consumes it within the same cycle).
@@ -118,10 +173,15 @@ func New(cfg Config, dcache *mem.Cache) *Backend {
 	if cfg.WindowSize <= 0 {
 		cfg = DefaultConfig()
 	}
+	n := 1
+	for n < 2*cfg.WindowSize {
+		n <<= 1
+	}
 	return &Backend{
 		cfg:           cfg,
 		d:             dcache,
-		window:        make(map[uint64]*Op, cfg.WindowSize),
+		slots:         make([]*Op, n),
+		mask:          uint64(n - 1),
 		commitBarrier: ^uint64(0),
 	}
 }
@@ -153,33 +213,151 @@ func (b *Backend) Insert(op *Op) {
 			N:     1,
 		})
 	}
-	b.window[op.Seq] = op
-	// Common case: append (mostly ordered input); otherwise insert into
-	// position to maintain seq order.
-	n := len(b.order)
-	if n == b.head || b.order[n-1].Seq < op.Seq {
-		b.order = append(b.order, op)
-		return
+	op.win = b
+	b.place(op)
+	b.order = insertBySeq(b.order, b.head, op)
+	// An older op can arrive after younger ones (parallel rename): a
+	// younger op that cached its ready cycle while this producer was
+	// absent from the window must wait for it after all.
+	b.forgetReady(op.Seq)
+	if !op.issued {
+		b.wait(op)
 	}
-	i := n
-	for i > b.head && b.order[i-1].Seq > op.Seq {
-		i--
+	if op.mispredict {
+		b.points = insertBySeq(b.points, 0, op)
 	}
-	b.order = append(b.order, nil)
-	copy(b.order[i+1:], b.order[i:])
-	b.order[i] = op
 }
 
-// ready reports whether all of op's producers have completed by cycle now.
-func (b *Backend) ready(op *Op, now uint64) bool {
-	for i := 0; i < op.NProd; i++ {
-		if p, ok := b.window[op.Producers[i]]; ok {
-			if !p.issued || p.done > now {
-				return false
+// insertBySeq inserts op into list[from:], which is in seq order. The
+// common case — op is the youngest — is an append.
+func insertBySeq(list []*Op, from int, op *Op) []*Op {
+	n := len(list)
+	if n == from || list[n-1].Seq < op.Seq {
+		return append(list, op)
+	}
+	i := n
+	for i > from && list[i-1].Seq > op.Seq {
+		i--
+	}
+	list = append(list, nil)
+	copy(list[i+1:], list[i:])
+	list[i] = op
+	return list
+}
+
+// truncateFrom drops the seq-ordered list's suffix at or above seq.
+func truncateFrom(list []*Op, seq uint64) []*Op {
+	n := len(list)
+	for n > 0 && list[n-1].Seq >= seq {
+		n--
+		list[n] = nil
+	}
+	return list[:n]
+}
+
+// wait queues op for issue in seq order.
+func (b *Backend) wait(op *Op) {
+	b.wake = 0
+	w := waiter{op: op, readyAt: unknownReady}
+	i := len(b.waiting)
+	for i > 0 && b.waiting[i-1].op.Seq > op.Seq {
+		i--
+	}
+	b.waiting = append(b.waiting, waiter{})
+	copy(b.waiting[i+1:], b.waiting[i:])
+	b.waiting[i] = w
+}
+
+// forgetReady drops the cached ready cycle of every waiting op that names
+// seq as a producer.
+func (b *Backend) forgetReady(seq uint64) {
+	for i := len(b.waiting) - 1; i >= 0 && b.waiting[i].op.Seq > seq; i-- {
+		w := &b.waiting[i]
+		for j := 0; j < w.op.NProd; j++ {
+			if w.op.Producers[j] == seq {
+				w.readyAt = unknownReady
+				break
 			}
 		}
 	}
-	return true
+}
+
+// place enters op into the producer table, doubling the table until no
+// other in-window op shares op's slot.
+func (b *Backend) place(op *Op) {
+	for {
+		i := op.Seq & b.mask
+		cur := b.slots[i]
+		if cur == nil {
+			b.slots[i] = op
+			return
+		}
+		if cur.Seq == op.Seq {
+			panic(fmt.Sprintf("backend: seq %d inserted while already in the window", op.Seq))
+		}
+		b.grow()
+	}
+}
+
+// grow rebuilds the producer table at the smallest larger power of two in
+// which the in-window ops occupy distinct slots.
+func (b *Backend) grow() {
+	for size := 2 * len(b.slots); ; size *= 2 {
+		slots, mask := make([]*Op, size), uint64(size-1)
+		ok := true
+		for _, op := range b.order[b.head:] {
+			i := op.Seq & mask
+			if slots[i] != nil {
+				ok = false
+				break
+			}
+			slots[i] = op
+		}
+		if ok {
+			b.slots, b.mask = slots, mask
+			return
+		}
+	}
+}
+
+// leave takes op out of the producer table: from now on it reads as having
+// left the window.
+func (b *Backend) leave(op *Op) {
+	if i := op.Seq & b.mask; b.slots[i] == op {
+		b.slots[i] = nil
+	}
+	op.win = nil
+}
+
+// producer returns the in-window op with the given seq, or nil.
+func (b *Backend) producer(seq uint64) *Op {
+	if p := b.slots[seq&b.mask]; p != nil && p.Seq == seq {
+		return p
+	}
+	return nil
+}
+
+// readyAt returns the cycle by which all of w.op's in-window producers have
+// completed, or unknownReady while one of them has not issued.
+func (b *Backend) readyAt(w *waiter) uint64 {
+	if w.blk != nil {
+		if !w.blk.issued {
+			return unknownReady
+		}
+		w.blk = nil
+	}
+	op := w.op
+	var at uint64
+	for i := 0; i < op.NProd; i++ {
+		if p := b.producer(op.Producers[i]); p != nil {
+			if !p.issued {
+				w.blk = p
+				return unknownReady
+			}
+			at = max(at, p.done)
+		}
+	}
+	return at
 }
 
 // Resolution describes a completed mispredict-point op the simulator must
@@ -195,28 +373,14 @@ type Resolution struct {
 // completed at or before now (nil if none). The Resolution is reused across
 // cycles: callers must consume it before the next Cycle call.
 func (b *Backend) Cycle(now uint64) (int, *Resolution) {
-	// Issue: oldest-first over unissued ops, bounded per FU class.
-	var used [isa.NumClasses]int
-	for _, op := range b.order[b.head:] {
-		if op.issued {
-			continue
-		}
-		class := op.Inst.Classify()
-		if used[class] >= b.cfg.FUCounts[class] {
-			continue
-		}
-		if !b.ready(op, now) {
-			continue
-		}
-		used[class]++
-		op.issued = true
-		b.issue(op, now)
+	if now >= b.wake {
+		b.issueReady(now)
 	}
 
-	// Find the oldest resolved mispredict point.
+	// The oldest resolved mispredict point.
 	var res *Resolution
-	for _, op := range b.order[b.head:] {
-		if op.MispredictPoint && op.issued && op.done <= now {
+	for _, op := range b.points {
+		if op.issued && op.done <= now {
 			b.res = Resolution{Op: op, Cycle: op.done}
 			res = &b.res
 			break
@@ -236,12 +400,12 @@ func (b *Backend) Cycle(now uint64) (int, *Resolution) {
 		// A mispredict point must not commit before the simulator has
 		// redirected; the simulator squashes younger ops at the
 		// resolution cycle, after which the point itself commits.
-		if head.MispredictPoint {
+		if head.mispredict {
 			break
 		}
 		b.order[b.head] = nil
 		b.head++
-		delete(b.window, head.Seq)
+		b.leave(head)
 		committed++
 		b.committed++
 		if b.Sink != nil {
@@ -261,6 +425,37 @@ func (b *Backend) Cycle(now uint64) (int, *Resolution) {
 	return committed, res
 }
 
+// issueReady issues ready waiting ops oldest-first, bounded per FU class.
+// Issued ops leave the waiting list.
+func (b *Backend) issueReady(now uint64) {
+	var used [isa.NumClasses]int
+	wake := unknownReady
+	k := 0 // waiting[:k] are the ops kept so far
+	for i := range b.waiting {
+		w := &b.waiting[i]
+		if w.readyAt == unknownReady {
+			w.readyAt = b.readyAt(w)
+		}
+		if w.readyAt <= now {
+			op := w.op
+			if c := op.Inst.Classify(); used[c] < b.cfg.FUCounts[c] {
+				used[c]++
+				op.issued = true
+				b.issue(op, now)
+				continue
+			}
+		}
+		wake = min(wake, w.readyAt)
+		if k != i {
+			b.waiting[k] = *w
+		}
+		k++
+	}
+	clear(b.waiting[k:])
+	b.waiting = b.waiting[:k]
+	b.wake = wake
+}
+
 // compact reclaims the committed prefix of the order FIFO once it reaches a
 // window's worth of slots, keeping the backing array's capacity bounded by
 // ~2x the window (the live span is at most WindowSize ops). Amortized cost
@@ -275,10 +470,7 @@ func (b *Backend) compact() {
 		return
 	}
 	n := copy(b.order, b.order[b.head:])
-	clearTail := b.order[n:]
-	for i := range clearTail {
-		clearTail[i] = nil
-	}
+	clear(b.order[n:])
 	b.order = b.order[:n]
 	b.head = 0
 }
@@ -299,11 +491,31 @@ func (b *Backend) issue(op *Op, now uint64) {
 	op.done = now + lat
 }
 
+// addPoint records a mispredict point flagged while op is in the window.
+func (b *Backend) addPoint(op *Op) {
+	for _, p := range b.points {
+		if p == op {
+			return
+		}
+	}
+	b.points = insertBySeq(b.points, 0, op)
+}
+
 // ClearMispredictPoint commits a resolved mispredict point after the
 // simulator has handled the redirect: the op itself is on the correct path
 // (it is the mispredicted branch, which really executed), so it simply
 // stops blocking commit.
-func (b *Backend) ClearMispredictPoint(op *Op) { op.MispredictPoint = false }
+func (b *Backend) ClearMispredictPoint(op *Op) {
+	op.mispredict = false
+	for i, p := range b.points {
+		if p == op {
+			n := copy(b.points[i:], b.points[i+1:])
+			b.points[i+n] = nil
+			b.points = b.points[:i+n]
+			return
+		}
+	}
+}
 
 // SquashFrom removes every op with Seq >= seq (wrong-path ops after a
 // redirect).
@@ -313,13 +525,19 @@ func (b *Backend) SquashFrom(seq uint64) int {
 	for cut > b.head && b.order[cut-1].Seq >= seq {
 		cut--
 	}
-	squashed := n - cut
 	for i := cut; i < n; i++ {
-		delete(b.window, b.order[i].Seq)
+		b.leave(b.order[i])
 		b.order[i] = nil
 	}
 	b.order = b.order[:cut]
-	return squashed
+	w := len(b.waiting)
+	for w > 0 && b.waiting[w-1].op.Seq >= seq {
+		w--
+	}
+	clear(b.waiting[w:])
+	b.waiting = b.waiting[:w]
+	b.points = truncateFrom(b.points, seq)
+	return n - cut
 }
 
 // DebugHead describes the window head for deadlock diagnostics.
@@ -329,7 +547,7 @@ func (b *Backend) DebugHead() string {
 	}
 	h := b.order[b.head]
 	return fmt.Sprintf("head seq=%d pc=%#x op=%v issued=%v done=%d wrong=%v mp=%v nprod=%d prods=%v inflight=%d",
-		h.Seq, h.PC, h.Inst.Op, h.issued, h.done, h.WrongPath, h.MispredictPoint, h.NProd, h.Producers[:h.NProd], b.InFlight())
+		h.Seq, h.PC, h.Inst.Op, h.issued, h.done, h.WrongPath, h.mispredict, h.NProd, h.Producers[:h.NProd], b.InFlight())
 }
 
 // OldestSeq returns the seq of the oldest in-flight op (ok=false if empty).

@@ -77,8 +77,10 @@ func TestIssueIsOldestFirstUnderFUContention(t *testing.T) {
 
 func TestResolutionReportsOldestPoint(t *testing.T) {
 	b := newTestBackend()
-	young := &Op{Seq: 10, Inst: isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2}, MispredictPoint: true}
-	old := &Op{Seq: 3, Inst: isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2}, MispredictPoint: true}
+	young := &Op{Seq: 10, Inst: isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2}}
+	old := &Op{Seq: 3, Inst: isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2}}
+	young.MarkMispredictPoint()
+	old.MarkMispredictPoint()
 	b.Insert(young)
 	b.Insert(old)
 	b.Cycle(0)

@@ -91,6 +91,23 @@ type TracePredictor struct {
 	updates  int64
 	correct  int64
 	fromSec  int64
+
+	// The DOLC index layout, fixed by the configuration: the i-th most
+	// recent history key is folded by hist[i] and XORed into the primary
+	// index at bit shift[i]; the concatenation is then folded to the table
+	// by primaryFold, and the newest key alone by secondaryFold.
+	hist          [maxDepth]folder
+	shift         [maxDepth]uint
+	primaryFold   folder
+	secondaryFold folder
+
+	// The last history hashed and its table indices. On the correct path
+	// the stream predicts from its speculative history and then trains
+	// with its retirement history, which are equal, so each history is
+	// hashed once.
+	lastHist       History
+	lastPI, lastSI int
+	lastOK         bool
 }
 
 // New creates a predictor with the given configuration; sizes are rounded
@@ -108,11 +125,29 @@ func New(cfg Config) *TracePredictor {
 	if cfg.DOLC.Depth > maxDepth {
 		cfg.DOLC.Depth = maxDepth
 	}
-	return &TracePredictor{
+	p := &TracePredictor{
 		cfg:       cfg,
 		primary:   make([]entry, ceilPow2(cfg.PrimaryEntries)),
 		secondary: make([]entry, ceilPow2(cfg.SecondaryEntries)),
 	}
+	// Current bits from the newest ID, Last bits from the next, Older bits
+	// from each of the remaining Depth-2 IDs, concatenated.
+	var width uint
+	for i := 0; i < cfg.DOLC.Depth; i++ {
+		bits := cfg.DOLC.Older
+		switch i {
+		case 0:
+			bits = cfg.DOLC.Current
+		case 1:
+			bits = cfg.DOLC.Last
+		}
+		p.hist[i] = newFolder(bits)
+		p.shift[i] = width % 48
+		width += bits
+	}
+	p.primaryFold = newFolder(tableBits(len(p.primary)))
+	p.secondaryFold = newFolder(tableBits(len(p.secondary)))
+	return p
 }
 
 func ceilPow2(n int) int {
@@ -123,42 +158,55 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// fold XOR-folds v down to bits wide.
-func fold(v uint64, bits uint) uint64 {
-	mask := uint64(1)<<bits - 1
-	r := uint64(0)
-	for v != 0 {
-		r ^= v & mask
-		v >>= bits
-	}
-	return r
+// folder XOR-folds 64-bit values down to a fixed width: v is split into
+// width-bit chunks, and the chunks are XORed together. Rather than one loop
+// step per chunk, it folds the upper half of the chunks onto the lower half
+// until one chunk is left — a fixed number of steps for any value.
+type folder struct {
+	steps [6]uint // the shift of each halving step; 64 chunks need 6
+	n     int
 }
 
-// primaryIndex hashes the full DOLC history: Current bits from the newest
-// ID, Last bits from the next, Older bits from each of the remaining
-// Depth-2 IDs, concatenated and folded to the table size.
+func newFolder(bits uint) folder {
+	var f folder
+	for chunks := (64 + bits - 1) / bits; chunks > 1; {
+		chunks = (chunks + 1) / 2
+		f.steps[f.n] = chunks * bits
+		f.n++
+	}
+	return f
+}
+
+func (f *folder) fold(v uint64) uint64 {
+	for _, s := range f.steps[:f.n] {
+		v = (v ^ v>>s) & (1<<s - 1)
+	}
+	return v
+}
+
+// primaryIndex hashes the full DOLC history (see the layout in New). Keys
+// the history does not hold yet count as zero, which folds to nothing.
 func (p *TracePredictor) primaryIndex(h *History) int {
-	d := p.cfg.DOLC
 	var acc uint64
-	var width uint
-	push := func(v uint64, bits uint) {
-		acc ^= (v & (1<<bits - 1)) << (width % 48)
-		width += bits
+	for i := 0; i < min(p.cfg.DOLC.Depth, h.n); i++ {
+		acc ^= p.hist[i].fold(h.keys[(h.head+h.n-1-i)%maxDepth]) << p.shift[i]
 	}
-	push(fold(h.recent(0), d.Current), d.Current)
-	if d.Depth > 1 {
-		push(fold(h.recent(1), d.Last), d.Last)
-	}
-	for i := 2; i < d.Depth; i++ {
-		push(fold(h.recent(i), d.Older), d.Older)
-	}
-	return int(fold(acc, tableBits(len(p.primary))))
+	return int(p.primaryFold.fold(acc))
 }
 
 // secondaryIndex hashes only the most recent ID — the shallow-history table
 // that warms up fast and catches primary cold misses.
 func (p *TracePredictor) secondaryIndex(h *History) int {
-	return int(fold(h.recent(0), tableBits(len(p.secondary))))
+	return int(p.secondaryFold.fold(h.recent(0)))
+}
+
+// indices returns both table indices for h.
+func (p *TracePredictor) indices(h *History) (pi, si int) {
+	if !p.lastOK || *h != p.lastHist {
+		p.lastHist, p.lastOK = *h, true
+		p.lastPI, p.lastSI = p.primaryIndex(h), p.secondaryIndex(h)
+	}
+	return p.lastPI, p.lastSI
 }
 
 func tableBits(n int) uint {
@@ -181,11 +229,12 @@ type Prediction struct {
 // otherwise the secondary table predicts if it has ever been trained.
 func (p *TracePredictor) Predict(h *History) Prediction {
 	p.predicts++
-	pe := p.primary[p.primaryIndex(h)]
+	pi, si := p.indices(h)
+	pe := p.primary[pi]
 	if pe.ctr >= 2 && !pe.id.Zero() {
 		return Prediction{ID: pe.id, Valid: true}
 	}
-	se := p.secondary[p.secondaryIndex(h)]
+	se := p.secondary[si]
 	if !se.id.Zero() {
 		p.fromSec++
 		return Prediction{ID: se.id, Valid: true, FromSecondary: true}
@@ -207,7 +256,7 @@ func (p *TracePredictor) Update(h *History, actual frag.ID) {
 	// accuracy peek and the training writes — Update is called once per
 	// true-path fragment by the simulator and the functional warmer alike,
 	// and the DOLC fold is the predictor's hottest computation.
-	pi, si := p.primaryIndex(h), p.secondaryIndex(h)
+	pi, si := p.indices(h)
 	if pred := p.peekAt(pi, si); pred.Valid && pred.ID == actual {
 		p.correct++
 	}

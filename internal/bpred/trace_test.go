@@ -41,7 +41,8 @@ func TestHistoryIsValueType(t *testing.T) {
 func TestFoldStaysInRange(t *testing.T) {
 	for _, bits := range []uint{1, 7, 9, 16} {
 		for _, v := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
-			if f := fold(v, bits); f >= 1<<bits {
+			f := newFolder(bits)
+			if f := f.fold(v); f >= 1<<bits {
 				t.Errorf("fold(%#x,%d) = %#x out of range", v, bits, f)
 			}
 		}

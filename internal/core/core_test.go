@@ -123,7 +123,7 @@ func TestStreamDivergenceBookkeeping(t *testing.T) {
 		}
 		// A divergence was just detected (or is ongoing). The culprit
 		// must be flagged and its seq must precede the resume point.
-		if !pend.Culprit.MispredictPoint {
+		if !pend.Culprit.MispredictPoint() {
 			t.Fatal("culprit not flagged as mispredict point")
 		}
 		if pend.TruePC != 0 {

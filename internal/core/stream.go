@@ -34,10 +34,15 @@ type Stream struct {
 	pred *bpred.TracePredictor
 	heur frag.Heuristics
 
-	// Oracle lookahead ring.
-	oracle     []emu.DynInst
-	oracleBase uint64 // Seq of oracle[0]
-	oracleEOF  bool
+	// Oracle lookahead: oracle[i] is the true instruction at oracle seq
+	// oracleBase+i and oracleEA[i] its effective address. refill keeps
+	// lookahead entries from trueCursor on and trims the consumed prefix
+	// only once it is several lookaheads long, so the memmove is amortized
+	// over many fragments.
+	oracle     []frag.Dyn
+	oracleEA   []uint64
+	oracleBase uint64
+	maxLen     int // longest fragment heur selects (splitTrue's window)
 
 	// Speculative state.
 	specHist   bpred.History
@@ -132,9 +137,13 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 		mach:     oracle,
 		pred:     pred,
 		heur:     h,
+		maxLen:   h.MaxFragLen(),
 		nextSeq:  1,
 		onTrue:   true,
 		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
+		// refill never holds more than five lookaheads (see there).
+		oracle:   make([]frag.Dyn, 0, 5*lookahead),
+		oracleEA: make([]uint64, 0, 5*lookahead),
 	}
 	s.ffPool = pool.NewFreeList(func() *FetchedFrag {
 		ff := &FetchedFrag{}
@@ -182,34 +191,35 @@ func (s *Stream) PrevLastSeq() (uint64, bool) {
 // recycling).
 func (s *Stream) PoolStats() pool.Stats { return s.ffPool.Stats() }
 
-// refill extends the oracle lookahead and trims consumed entries.
+// lookahead is how many oracle entries the stream holds from trueCursor
+// on: several fragments' worth.
+const lookahead = 8 * frag.MaxLen
+
+// refill tops the lookahead back up to its full depth from trueCursor,
+// first trimming the consumed entries if they have piled up.
 func (s *Stream) refill() {
-	// Trim below trueCursor.
-	if drop := int(s.trueCursor - s.oracleBase); drop > 0 {
+	if drop := int(s.trueCursor - s.oracleBase); drop >= 4*lookahead {
 		s.oracle = s.oracle[:copy(s.oracle, s.oracle[drop:])]
+		s.oracleEA = s.oracleEA[:copy(s.oracleEA, s.oracleEA[drop:])]
 		s.oracleBase = s.trueCursor
 	}
-	for len(s.oracle) < 8*frag.MaxLen && !s.mach.Halted() {
+	for uint64(len(s.oracle)) < s.trueCursor-s.oracleBase+lookahead && !s.mach.Halted() {
 		d, err := s.mach.Step()
 		if err != nil {
-			s.oracleEOF = true
 			return
 		}
-		s.oracle = append(s.oracle, d)
-	}
-	if s.mach.Halted() {
-		s.oracleEOF = true
+		s.oracle = append(s.oracle, frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken})
+		s.oracleEA = append(s.oracleEA, d.EA)
 	}
 }
 
-// oracleAt returns the oracle entry for seq (must be >= trueCursor and
-// within lookahead).
-func (s *Stream) oracleAt(seq uint64) (emu.DynInst, bool) {
-	i := int(seq - s.oracleBase)
-	if i < 0 || i >= len(s.oracle) {
-		return emu.DynInst{}, false
+// oracleAt returns the index of seq's entry in oracle and oracleEA
+// (ok=false below trueCursor or beyond the lookahead).
+func (s *Stream) oracleAt(seq uint64) (int, bool) {
+	if seq < s.trueCursor || seq-s.oracleBase >= uint64(len(s.oracle)) {
+		return 0, false
 	}
-	return s.oracle[i], true
+	return int(seq - s.oracleBase), true
 }
 
 // Attach wires the optional event sink and pipeline metrics into the
@@ -251,30 +261,31 @@ func (s *Stream) Next() (*FetchedFrag, error) {
 // using the predictor for directions and detecting divergence inline.
 func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	s.refill()
-	trueStart, ok := s.oracleAt(s.trueCursor)
+	start, ok := s.oracleAt(s.trueCursor)
 	if !ok {
 		// Lookahead empty: program halted exactly at cursor.
 		s.doneTrue = true
 		return nil, ErrNoFragment
 	}
+	truePC := s.oracle[start].PC
 
 	// Choose the predicted ID: the predictor's if it agrees on the start
 	// PC, otherwise a not-taken walk from the known start.
 	pred := s.pred.Predict(&s.specHist)
-	id := frag.ID{StartPC: trueStart.PC}
-	if pred.Valid && pred.ID.StartPC == trueStart.PC {
+	id := frag.ID{StartPC: truePC}
+	if pred.Valid && pred.ID.StartPC == truePC {
 		id = pred.ID
 	}
 	f := s.fragFor(id)
 	if f.Len() == 0 {
-		return nil, fmt.Errorf("core: empty fragment at true PC %#x", trueStart.PC)
+		return nil, fmt.Errorf("core: empty fragment at true PC %#x", truePC)
 	}
 
 	// Compare against the oracle.
 	m := 0
 	for ; m < f.Len(); m++ {
-		d, ok := s.oracleAt(s.trueCursor + uint64(m))
-		if !ok || d.PC != f.PCs[m] {
+		i, ok := s.oracleAt(s.trueCursor + uint64(m))
+		if !ok || s.oracle[i].PC != f.PCs[m] {
 			break
 		}
 	}
@@ -311,8 +322,8 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 		TrueSeq:    s.trueCursor + uint64(m),
 		retireHist: s.retireHist,
 	}
-	if d, ok := s.oracleAt(red.TrueSeq); ok {
-		red.TruePC = d.PC
+	if i, ok := s.oracleAt(red.TrueSeq); ok {
+		red.TruePC = s.oracle[i].PC
 	} else {
 		// The true path ends inside this fragment (halt reached); the
 		// correct prefix will commit and the program finishes. Treat
@@ -329,10 +340,10 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 		// Divergence at the very first fragment with no predecessor
 		// (cannot happen: the first fragment starts at the entry PC,
 		// which is forced correct for at least one instruction).
-		return nil, fmt.Errorf("core: divergence with no culprit at %#x", trueStart.PC)
+		return nil, fmt.Errorf("core: divergence with no culprit at %#x", truePC)
 	}
 	red.CulpritSeq = red.Culprit.Seq
-	red.Culprit.MispredictPoint = true
+	red.Culprit.MarkMispredictPoint()
 	// Checkpoint the last-writer state as of the correct prefix: the
 	// materialize call has already applied all instructions, so rebuild
 	// from the snapshot it took at the divergence index.
@@ -342,18 +353,12 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	return ff, nil
 }
 
-// splitTrue computes the true fragment boundary and ID at oracle seq.
+// splitTrue computes the true fragment boundary and ID at oracle seq
+// (>= trueCursor). No fragment is longer than maxLen, so that many entries
+// decide the split.
 func (s *Stream) splitTrue(seq uint64) (int, frag.ID) {
-	var buf [2 * 32]frag.Dyn
-	n := 0
-	for ; n < len(buf); n++ {
-		d, ok := s.oracleAt(seq + uint64(n))
-		if !ok {
-			break
-		}
-		buf[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-	}
-	return s.heur.Split(buf[:n])
+	held := s.oracle[min(seq-s.oracleBase, uint64(len(s.oracle))):]
+	return s.heur.Split(held[:min(len(held), s.maxLen)])
 }
 
 // nextWrongPath generates a fragment beyond the divergence point: pure
@@ -431,13 +436,11 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
 	// prefix length m which may equal f.Len() (fully correct).
 	for i, in := range f.Insts {
 		op := ff.Ops[i]
-		// Full-struct reset: the composite literal zeroes the recycled
-		// op's scheduling state (issued/done), producers and flags.
-		*op = backend.Op{
-			Seq:  s.nextSeq,
-			PC:   f.PCs[i],
-			Inst: in,
-		}
+		// Full-struct reset: zeroing the recycled op clears its
+		// scheduling state (issued/done), producers and flags. Zeroing
+		// in place is cheaper than copying in a composite literal.
+		*op = backend.Op{}
+		op.Seq, op.PC, op.Inst = s.nextSeq, f.PCs[i], in
 		s.nextSeq++
 		op.WrongPath = i >= ff.WrongFrom
 		if i == ff.WrongFrom {
@@ -455,8 +458,8 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
 			s.lastWriter[rd] = op.Seq + 1
 		}
 		if in.IsMem() && !op.WrongPath {
-			if d, ok := s.oracleAt(s.trueCursor + uint64(i)); ok {
-				op.EA = d.EA
+			if j, ok := s.oracleAt(s.trueCursor + uint64(i)); ok {
+				op.EA = s.oracleEA[j]
 			}
 		}
 	}

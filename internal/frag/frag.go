@@ -62,6 +62,10 @@ func (h Heuristics) normalize() Heuristics {
 	return h
 }
 
+// MaxFragLen returns the longest fragment h selects: its MaxLen after the
+// same defaulting and clamping Split and FromCode apply.
+func (h Heuristics) MaxFragLen() int { return h.normalize().MaxLen }
+
 // ID identifies a fragment the way the paper's trace predictor does: by its
 // starting address and the directions of its conditional branches. Length is
 // derived (the static code plus the directions determine it) and is not part

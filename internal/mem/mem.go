@@ -65,11 +65,16 @@ type CacheGeometry struct {
 }
 
 // NewCache builds a cache with the given geometry over the given lower
-// level. Sizes must be powers of two and consistent; NewCache panics on a
-// malformed geometry because geometries are static configuration.
+// level. Sizes must be powers of two and consistent, and a hit must take at
+// least one cycle: the back-end's scheduler relies on an op issued at cycle
+// t completing at t+1 or later. NewCache panics on a malformed geometry
+// because geometries are static configuration.
 func NewCache(name string, g CacheGeometry, lower Level) *Cache {
 	if g.SizeBytes <= 0 || g.Ways <= 0 || g.BlockBytes <= 0 {
 		panic("mem: non-positive cache geometry")
+	}
+	if g.HitLatency == 0 {
+		panic("mem: cache hit latency must be at least one cycle")
 	}
 	sets := g.SizeBytes / (g.Ways * g.BlockBytes)
 	if sets <= 0 || sets&(sets-1) != 0 || g.BlockBytes&(g.BlockBytes-1) != 0 {

@@ -131,6 +131,15 @@ func TestNewCachePanicsOnBadGeometry(t *testing.T) {
 	NewCache("bad", CacheGeometry{SizeBytes: 3000, Ways: 2, BlockBytes: 64, HitLatency: 1}, nil)
 }
 
+func TestNewCachePanicsOnZeroHitLatency(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a zero-cycle hit latency")
+		}
+	}()
+	NewCache("bad", CacheGeometry{SizeBytes: 1024, Ways: 2, BlockBytes: 64, HitLatency: 0}, nil)
+}
+
 func TestResetClearsState(t *testing.T) {
 	c := NewCache("t", testGeom(512, 2, 64), &FixedLatency{Latency: 10})
 	c.Access(0x40, false, 0)

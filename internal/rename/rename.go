@@ -149,22 +149,12 @@ type Insts []isa.Inst
 // on the committed stream; misprediction detection compares it against the
 // prediction.
 func ComputeLiveOuts(insts Insts) LiveOuts {
-	// Called once per fragment on the simulator's hot path: the per-register
-	// last-write positions live in a stack array indexed by isa.Reg rather
-	// than a map.
+	// Called once per fragment on the simulator's hot path: one backward
+	// pass, in which the first write seen to a register is its last write.
 	var lo LiveOuts
-	var last [isa.NumRegs]int8
-	for i := range last {
-		last[i] = -1
-	}
-	for i, in := range insts {
-		if rd, ok := in.Dest(); ok {
+	for i := len(insts) - 1; i >= 0; i-- {
+		if rd, ok := insts[i].Dest(); ok && lo.RegMask&(1<<rd) == 0 {
 			lo.RegMask |= 1 << rd
-			last[rd] = int8(i)
-		}
-	}
-	for _, i := range last {
-		if i >= 0 {
 			lo.LastWrite |= 1 << i
 		}
 	}

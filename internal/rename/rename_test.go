@@ -1,6 +1,7 @@
 package rename
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
@@ -337,4 +338,36 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestComputeLiveOutsMatchesForwardScan checks ComputeLiveOuts against the
+// direct definition on random fragments: a forward scan recording each
+// register's last writing position.
+func TestComputeLiveOutsMatchesForwardScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		insts := make(Insts, rng.Intn(frag.AbsMaxLen+1))
+		for i := range insts {
+			insts[i] = isa.Inst{Op: isa.Op(rng.Intn(isa.NumOps)), Rd: isa.Reg(rng.Intn(isa.NumRegs))}
+		}
+		var want LiveOuts
+		var last [isa.NumRegs]int
+		for i := range last {
+			last[i] = -1
+		}
+		for i, in := range insts {
+			if rd, ok := in.Dest(); ok {
+				want.RegMask |= 1 << rd
+				last[rd] = i
+			}
+		}
+		for _, i := range last {
+			if i >= 0 {
+				want.LastWrite |= 1 << i
+			}
+		}
+		if got := ComputeLiveOuts(insts); got != want {
+			t.Fatalf("%v: ComputeLiveOuts = %+v, want %+v", insts, got, want)
+		}
+	}
 }

@@ -81,3 +81,30 @@ func TestHistogramsNilSafe(t *testing.T) {
 		t.Error("real run should render pipeline histograms")
 	}
 }
+
+// TestSampledSelfProfileStageSeconds: a sampled run profiles every detailed
+// window and sums their stage times, so it reports the same stages as a full
+// run, each nonzero — no execution path may silently report zeros.
+func TestSampledSelfProfileStageSeconds(t *testing.T) {
+	opts := RunOptions{WarmupInsts: 10_000, MeasureInsts: 40_000, SelfProfile: true}
+	full, err := Run("gcc", Preset(PR2x8w), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Sample = &SampleSpec{Unit: 2_000, Period: 10_000, Warmup: 1_000}
+	sampled, err := Run("gcc", Preset(PR2x8w), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled.Sampling == nil || sampled.Sampling.Windows < 2 {
+		t.Fatalf("want a multi-window sampled run, got %+v", sampled.Sampling)
+	}
+	if len(sampled.StageSeconds) != len(full.StageSeconds) {
+		t.Errorf("sampled stages %v, full run stages %v", sampled.StageSeconds, full.StageSeconds)
+	}
+	for stage := range full.StageSeconds {
+		if sampled.StageSeconds[stage] <= 0 {
+			t.Errorf("sampled StageSeconds[%q] = %v, want > 0 (have %v)", stage, sampled.StageSeconds[stage], sampled.StageSeconds)
+		}
+	}
+}

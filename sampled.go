@@ -356,6 +356,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 			Obs:              opts.Obs,
 			NoProgressCycles: opts.NoProgressCycles,
 			FlightRecorder:   opts.FlightRecorder,
+			SelfProfile:      opts.SelfProfile,
 			Oracle:           rd,
 		}
 		wm.config(&cfg)
@@ -418,8 +419,8 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 }
 
 // aggregateSim combines per-piece measurements (sampling windows or
-// time-parallel slices) into one logical run: counters sum, rates are
-// committed-weighted means, histograms merge. A single piece passes through
+// time-parallel slices) into one logical run: counters and self-profile
+// stage seconds sum, rates are committed-weighted means, histograms merge. A single piece passes through
 // untouched so a degenerate sampled/sliced run stays bit-identical to the
 // serial one.
 func aggregateSim(parts []*sim.Result) *sim.Result {
@@ -439,6 +440,12 @@ func aggregateSim(parts []*sim.Result) *sim.Result {
 		agg.Pool.Add(r.Pool)
 		if r.Pipeline != nil {
 			agg.Pipeline.Merge(r.Pipeline)
+		}
+		for stage, sec := range r.StageSeconds {
+			if agg.StageSeconds == nil {
+				agg.StageSeconds = make(map[string]float64, len(r.StageSeconds))
+			}
+			agg.StageSeconds[stage] += sec
 		}
 		w := float64(r.Committed)
 		wsum += w
