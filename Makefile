@@ -3,13 +3,16 @@
 #   make test          tier 1: build + full test suite (what CI gates on;
 #                      includes the golden determinism suite)
 #   make test-alloc    tier 1.5: allocation guards (zero-alloc cycle loop,
-#                      bounded /metrics scrape) run verbosely on their own
+#                      zero-alloc gap warming, no fragment rebuilds across
+#                      sampled windows, bounded /metrics scrape) run
+#                      verbosely on their own
 #   make test-robust   tier 1.5: fault-tolerance suite under -race (panic
 #                      isolation, retries, budget, watchdog, journal/resume,
 #                      SIGKILL + resume round trip, graceful shutdown)
 #   make test-sample   tier 1.5: tape-acceleration suite (sampled-vs-full
 #                      statistical gate, sliced determinism across worker
-#                      counts, zero-alloc tape seek/replay guards)
+#                      counts, zero-alloc tape seek/replay guards, batch
+#                      decode vs Step differential)
 #   make test-obs      tier 1.5: observability suite (span tracer alloc guard
 #                      and ordered release, SSE /events ordering across worker
 #                      counts under -race, live scrape of accelerated runs,
@@ -80,12 +83,13 @@ test-robust:
 # Tape-acceleration tier: the statistical gate behind the sampled numbers
 # (every benchmark's sampled-vs-full error within its own 95% CI on a suite
 # subset), the sliced determinism suite (bit-identical results across slice
-# and worker counts), and the zero-alloc tape seek/replay guards. The full
-# 12-benchmark gate at paper budgets is `pfe-bench -validate-sampling`.
+# and worker counts), the zero-alloc tape seek/replay guards, and the batch
+# decoder's differential against Step. The full 12-benchmark gate at paper
+# budgets is `pfe-bench -validate-sampling`.
 test-sample:
 	$(GO) test -count=1 . -run 'TestSample|TestSampled|TestSliced'
 	$(GO) test -count=1 ./internal/experiments/ -run ValidateSampling
-	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek'
+	$(GO) test -count=1 ./internal/artifact/ -run 'TestTapeSeek|TestFillMatchesStep'
 	$(GO) test -count=1 ./internal/stats/ -run 'TestSummarize|TestSampleWindows|TestTCrit95'
 
 # Observability tier: the sweep span tracer (nil-tracer alloc guard, ordered
@@ -133,10 +137,13 @@ test-perfbench:
 	cd perfbench && $(GO) test .
 
 # Allocation guards, run on their own so a perf PR can iterate on just
-# them: the steady-state cycle loop must not allocate at all, and a
-# /metrics scrape must stay bounded. Both also run as part of `make test`.
+# them: the steady-state cycle loop must not allocate at all, neither must
+# functional warming once the fragment table holds a gap's fragments, a
+# repeated sampled window must build no fragment, and a /metrics scrape
+# must stay bounded. All also run as part of `make test`.
 test-alloc:
-	$(GO) test ./internal/sim/ -run TestStepZeroAllocSteadyState -count=1 -v
+	$(GO) test ./internal/sim/ -run 'TestStepZeroAllocSteadyState|TestRepeatedWindowBuildsNoFragments' -count=1 -v
+	$(GO) test . -run TestWarmGapZeroAlloc -count=1 -v
 	$(GO) test ./internal/pool/ ./internal/obs/ -run 'Alloc|Scrape' -count=1 -v
 
 race:
@@ -151,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/sim/ -run='^$$' -fuzz=FuzzFrontEndsAgree -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/backend/ -run='^$$' -fuzz=FuzzBackendAgainstReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/artifact/ -run='^$$' -fuzz=FuzzTapeBlockCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
+	$(GO) test ./internal/artifact/ -run='^$$' -fuzz=FuzzFillMatchesStep -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

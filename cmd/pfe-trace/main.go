@@ -134,7 +134,7 @@ func main() {
 			}
 		}
 		pred.Update(&hist, id)
-		hist.Push(id.Key())
+		pred.Push(&hist, id.Key())
 		lenHist[n]++
 		stream = stream[:copy(stream, stream[n:])]
 		total += int64(n)

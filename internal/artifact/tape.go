@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -219,8 +220,11 @@ func (r *Reader) Seek(seq uint64) error {
 	sp := t.index[b]
 	r.pc, r.seq = sp.pc, b*IndexStride
 	r.bitPos, r.auxOff, r.prevEA = sp.bitPos, sp.auxOff, sp.prevEA
-	for r.seq < seq {
-		if _, err := r.Step(); err != nil {
+	var dyn [256]frag.Dyn
+	var ea [256]uint64
+	for r.seq < seq && !r.halted {
+		k := min(uint64(len(dyn)), seq-r.seq)
+		if _, err := r.decode(dyn[:k], ea[:k]); err != nil {
 			return fmt.Errorf("artifact: seek decode at seq %d: %w", r.seq, err)
 		}
 	}
@@ -235,44 +239,97 @@ func (r *Reader) Step() (emu.DynInst, error) {
 	if r.live != nil || r.seq >= r.t.count {
 		return r.stepLive()
 	}
-	in, ok := r.t.prog.InstAt(r.pc)
-	if !ok {
-		return emu.DynInst{}, fmt.Errorf("artifact: replay PC %#x outside code image", r.pc)
+	var dyn [1]frag.Dyn
+	var ea [1]uint64
+	seq := r.seq
+	if _, err := r.decode(dyn[:], ea[:]); err != nil {
+		return emu.DynInst{}, err
 	}
-	d := emu.DynInst{Seq: r.seq, PC: r.pc, Inst: in}
-	next := r.pc + isa.InstBytes
-	switch {
-	case in.IsCondBranch():
-		if r.t.taken[r.bitPos>>3]>>(r.bitPos&7)&1 != 0 {
-			d.Taken = true
-			next = uint64(int64(r.pc) + isa.InstBytes + int64(in.Imm)*isa.InstBytes)
+	d := dyn[0]
+	return emu.DynInst{Seq: seq, PC: d.PC, Inst: d.Inst, NextPC: r.pc, Taken: d.Taken, EA: ea[0]}, nil
+}
+
+// Fill decodes the next instructions into dyn and ea (see emu.Oracle.Fill):
+// straight from the tape while it lasts, then through the live fallback.
+func (r *Reader) Fill(dyn []frag.Dyn, ea []uint64) (int, error) {
+	ea = ea[:len(dyn)]
+	n := 0
+	if !r.halted && r.live == nil && r.seq < r.t.count {
+		k := min(uint64(len(dyn)), r.t.count-r.seq)
+		var err error
+		if n, err = r.decode(dyn[:k], ea[:k]); err != nil {
+			return n, err
 		}
-		r.bitPos++
-	case in.IsDirectJump():
-		next = uint64(in.Imm) * isa.InstBytes
-	case in.IsIndirect():
-		v, n := binary.Uvarint(r.t.aux[r.auxOff:])
-		if n <= 0 {
-			return emu.DynInst{}, fmt.Errorf("artifact: corrupt tape (indirect target at seq %d)", r.seq)
-		}
-		r.auxOff += n
-		next = v
-	case in.IsMem():
-		delta, n := binary.Varint(r.t.aux[r.auxOff:])
-		if n <= 0 {
-			return emu.DynInst{}, fmt.Errorf("artifact: corrupt tape (EA delta at seq %d)", r.seq)
-		}
-		r.auxOff += n
-		d.EA = uint64(int64(r.prevEA) + delta)
-		r.prevEA = d.EA
-	case in.Op == isa.OpHalt:
-		next = r.pc
-		r.halted = true
 	}
-	d.NextPC = next
-	r.pc = next
-	r.seq++
-	return d, nil
+	for ; n < len(dyn) && !r.halted; n++ {
+		d, err := r.stepLive()
+		if err != nil {
+			return n, err
+		}
+		dyn[n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
+		ea[n] = d.EA
+	}
+	return n, nil
+}
+
+// decode replays up to len(dyn) recorded instructions (the caller keeps it
+// within the recording), stopping after OpHalt. The cursor lives in locals
+// for the loop and is written back once; on an error it stays at the
+// failing instruction, as Step's did.
+func (r *Reader) decode(dyn []frag.Dyn, ea []uint64) (int, error) {
+	t := r.t
+	pc, bitPos, auxOff, prevEA := r.pc, r.bitPos, r.auxOff, r.prevEA
+	halted := false
+	var err error
+	n := 0
+decode:
+	for ; n < len(dyn) && !halted; n++ {
+		in, ok := t.prog.InstAt(pc)
+		if !ok {
+			err = fmt.Errorf("artifact: replay PC %#x outside code image", pc)
+			break
+		}
+		next := pc + isa.InstBytes
+		taken := false
+		var addr uint64
+		switch {
+		case in.IsCondBranch():
+			if t.taken[bitPos>>3]>>(bitPos&7)&1 != 0 {
+				taken = true
+				next = uint64(int64(pc) + isa.InstBytes + int64(in.Imm)*isa.InstBytes)
+			}
+			bitPos++
+		case in.IsDirectJump():
+			next = uint64(in.Imm) * isa.InstBytes
+		case in.IsIndirect():
+			v, k := binary.Uvarint(t.aux[auxOff:])
+			if k <= 0 {
+				err = fmt.Errorf("artifact: corrupt tape (indirect target at seq %d)", r.seq+uint64(n))
+				break decode
+			}
+			auxOff += k
+			next = v
+		case in.IsMem():
+			delta, k := binary.Varint(t.aux[auxOff:])
+			if k <= 0 {
+				err = fmt.Errorf("artifact: corrupt tape (EA delta at seq %d)", r.seq+uint64(n))
+				break decode
+			}
+			auxOff += k
+			addr = uint64(int64(prevEA) + delta)
+			prevEA = addr
+		case in.Op == isa.OpHalt:
+			next = pc
+			halted = true
+		}
+		dyn[n] = frag.Dyn{PC: pc, Inst: in, Taken: taken}
+		ea[n] = addr
+		pc = next
+	}
+	r.pc, r.bitPos, r.auxOff, r.prevEA = pc, bitPos, auxOff, prevEA
+	r.halted = halted
+	r.seq += uint64(n)
+	return n, err
 }
 
 // stepLive serves instructions past the recorded end: a fresh emulator is

@@ -8,10 +8,17 @@ import (
 	"github.com/parallel-frontend/pfe/internal/program"
 )
 
+// stepOracle is an oracle that also decodes one instruction at a time, as
+// both emu.Machine and Reader do.
+type stepOracle interface {
+	emu.Oracle
+	Step() (emu.DynInst, error)
+}
+
 // drainBoth steps a live machine and a tape reader in lockstep for up to n
 // instructions, failing on the first divergence. Returns how many
 // instructions both produced.
-func drainBoth(t *testing.T, name string, live, replay emu.Oracle, n uint64) uint64 {
+func drainBoth(t *testing.T, name string, live, replay stepOracle, n uint64) uint64 {
 	t.Helper()
 	var i uint64
 	for ; i < n; i++ {

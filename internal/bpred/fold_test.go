@@ -16,11 +16,15 @@ func foldLoop(v uint64, bits uint) uint64 {
 	return r
 }
 
-// refPrimaryIndex is the reference DOLC hash: Current bits from the newest
-// ID, Last bits from the next, Older bits from each remaining one,
-// concatenated and folded to the table size.
-func refPrimaryIndex(p *TracePredictor, h *History) int {
-	d := p.cfg.DOLC
+// refPrimaryIndex is the reference DOLC hash of cfg as given to New:
+// Current bits from the newest ID, Last bits from the next, Older bits from
+// each remaining one, concatenated and folded to the table size. IDs deeper
+// than the history holds read as zero, so it needs no Depth clamp.
+func refPrimaryIndex(cfg Config, h *History) int {
+	d := cfg.DOLC
+	if d.Depth <= 0 {
+		d = DefaultDOLC()
+	}
 	var acc uint64
 	var width uint
 	push := func(v uint64, bits uint) {
@@ -34,7 +38,7 @@ func refPrimaryIndex(p *TracePredictor, h *History) int {
 	for i := 2; i < d.Depth; i++ {
 		push(foldLoop(h.recent(i), d.Older), d.Older)
 	}
-	return int(foldLoop(acc, tableBits(len(p.primary))))
+	return int(foldLoop(acc, tableBits(ceilPow2(cfg.PrimaryEntries))))
 }
 
 func refSecondaryIndex(p *TracePredictor, h *History) int {
@@ -89,7 +93,7 @@ func TestIndicesMatchReference(t *testing.T) {
 		p := New(cfg)
 		var h History
 		for i := 0; i < 5000; i++ {
-			if got, want := p.primaryIndex(&h), refPrimaryIndex(p, &h); got != want {
+			if got, want := p.primaryIndex(&h), refPrimaryIndex(cfg, &h); got != want {
 				t.Fatalf("%+v after %d pushes: primaryIndex = %d, want %d", cfg, i, got, want)
 			}
 			if got, want := p.secondaryIndex(&h), refSecondaryIndex(p, &h); got != want {
@@ -100,5 +104,73 @@ func TestIndicesMatchReference(t *testing.T) {
 			}
 			h.Push(randKey(rng))
 		}
+	}
+}
+
+// TestPushFoldsMatchReference hashes histories built through the
+// predictor's folding Push — including checkpoint copies, restored
+// snapshots and histories handed between predictors — against the
+// reference DOLC hash.
+func TestPushFoldsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cfgs := []Config{DefaultConfig(), {PrimaryEntries: 1024, SecondaryEntries: 256,
+		DOLC: DOLC{Depth: maxDepth + 2, Older: maxFoldBits, Last: 1, Current: maxFoldBits}}}
+	for len(cfgs) < 20 {
+		cfgs = append(cfgs, Config{
+			PrimaryEntries:   1 << (4 + rng.Intn(14)),
+			SecondaryEntries: 1 << (2 + rng.Intn(14)),
+			DOLC: DOLC{
+				Depth:   1 + rng.Intn(maxDepth+2),
+				Older:   uint(1 + rng.Intn(12)),
+				Last:    uint(1 + rng.Intn(16)),
+				Current: uint(1 + rng.Intn(20)),
+			},
+		})
+	}
+	for _, cfg := range cfgs {
+		p, other := New(cfg), New(cfg)
+		var h, cp History
+		for i := 0; i < 5000; i++ {
+			if got, want := p.primaryIndex(&h), refPrimaryIndex(cfg, &h); got != want {
+				t.Fatalf("%+v after %d pushes: primaryIndex = %d, want %d", cfg, i, got, want)
+			}
+			switch rng.Intn(60) {
+			case 0:
+				cp = h // checkpoint
+			case 1:
+				h = cp // restore
+			case 2:
+				var err error
+				if _, err = h.LoadState(cp.AppendState(nil)); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				other.Push(&h, randKey(rng)) // folded by another predictor
+			}
+			key := randKey(rng)
+			if rng.Intn(3) == 0 {
+				key = p.lastKey // the second push of a correct-path fragment
+			}
+			p.Push(&h, key)
+		}
+	}
+}
+
+// TestNewPanicsOnWideDOLCField: a field wider than a History.folds slot is
+// rejected rather than narrowed, which would silently change the index.
+func TestNewPanicsOnWideDOLCField(t *testing.T) {
+	for _, d := range []DOLC{
+		{Depth: 9, Older: maxFoldBits + 1, Last: 7, Current: 9},
+		{Depth: 9, Older: 4, Last: 30, Current: 9},
+		{Depth: 9, Older: 4, Last: 7, Current: 40},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with DOLC %+v did not panic", d)
+				}
+			}()
+			New(Config{PrimaryEntries: 1024, SecondaryEntries: 256, DOLC: d})
+		}()
 	}
 }

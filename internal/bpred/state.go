@@ -3,8 +3,6 @@ package bpred
 import (
 	"encoding/binary"
 	"fmt"
-
-	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
 // State serialization for the trace predictor and path history, in a
@@ -15,9 +13,9 @@ import (
 
 func appendEntries(b []byte, es []entry) []byte {
 	for _, e := range es {
-		b = binary.LittleEndian.AppendUint64(b, e.id.StartPC)
-		b = binary.LittleEndian.AppendUint32(b, e.id.BrMask)
-		b = append(b, e.id.NumBr, e.ctr)
+		b = binary.LittleEndian.AppendUint64(b, e.pc)
+		b = binary.LittleEndian.AppendUint32(b, e.mask)
+		b = append(b, e.nbr, e.ctr)
 	}
 	return b
 }
@@ -28,12 +26,12 @@ func loadEntries(b []byte, es []entry) ([]byte, error) {
 		return nil, fmt.Errorf("bpred: truncated predictor table state")
 	}
 	for i := range es {
-		es[i].id = frag.ID{
-			StartPC: binary.LittleEndian.Uint64(b),
-			BrMask:  binary.LittleEndian.Uint32(b[8:]),
-			NumBr:   b[12],
+		es[i] = entry{
+			pc:   binary.LittleEndian.Uint64(b),
+			mask: binary.LittleEndian.Uint32(b[8:]),
+			nbr:  b[12],
+			ctr:  b[13],
 		}
-		es[i].ctr = b[13]
 		b = b[w:]
 	}
 	return b, nil
@@ -98,6 +96,7 @@ func (h *History) LoadState(b []byte) ([]byte, error) {
 	}
 	b = b[maxDepth*8:]
 	h.n, h.head = int(b[0]), int(b[1])
+	h.foldedBy = nil // the restoring predictor refolds on first use
 	if h.n < 0 || h.n > maxDepth || h.head < 0 || h.head >= maxDepth {
 		return nil, fmt.Errorf("bpred: corrupt history state (n=%d head=%d)", h.n, h.head)
 	}

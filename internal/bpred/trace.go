@@ -13,6 +13,8 @@
 package bpred
 
 import (
+	"fmt"
+
 	"github.com/parallel-frontend/pfe/internal/frag"
 )
 
@@ -39,18 +41,31 @@ const maxDepth = 16
 // misprediction restores the exact history the paper's hardware would.
 type History struct {
 	keys [maxDepth]uint64
-	n    int // ring fill for warm-up behaviour; saturates at maxDepth
-	head int // index of the oldest key
+	// folds[i] packs keys[i] folded once to each DOLC field width
+	// (Current, Last and Older, maxFoldBits apart) under the predictor
+	// foldedBy, so hashing a history is a shift and XOR per key rather
+	// than a fold. A key's folds do not depend on its position, so they
+	// survive every later push and are copied with the history. When
+	// foldedBy is not the predictor at hand (nil after LoadState, or
+	// another predictor), it refolds every key on next use.
+	folds    [maxDepth]uint64
+	foldedBy *TracePredictor
+	n        int // ring fill for warm-up behaviour; saturates at maxDepth
+	head     int // index of the oldest key
 }
 
-// Push appends the key of a new fragment ID, evicting the oldest.
-func (h *History) Push(key uint64) {
-	h.keys[(h.head+h.n)%maxDepth] = key
+// push appends the key of a new fragment ID to the ring, evicting the
+// oldest, and returns its slot. Callers push through TracePredictor.Push,
+// which also folds the key.
+func (h *History) push(key uint64) int {
+	slot := (h.head + h.n) % maxDepth
+	h.keys[slot] = key
 	if h.n == maxDepth {
 		h.head = (h.head + 1) % maxDepth
 	} else {
 		h.n++
 	}
+	return slot
 }
 
 // recent returns the i-th most recent key (i=0 is newest); zero if the
@@ -74,11 +89,22 @@ func DefaultConfig() Config {
 	return Config{PrimaryEntries: 64 << 10, SecondaryEntries: 16 << 10, DOLC: DefaultDOLC()}
 }
 
-// entry is one tagless table entry: a predicted next-fragment ID and a
-// 2-bit replacement/confidence counter.
+// entry is one tagless table entry: a predicted next-fragment ID, stored
+// field by field so an entry packs into 16 bytes (a frag.ID alone pads to
+// 16), and a 2-bit replacement/confidence counter.
 type entry struct {
-	id  frag.ID
-	ctr uint8
+	pc   uint64
+	mask uint32
+	nbr  uint8
+	ctr  uint8
+}
+
+func (e *entry) id() frag.ID { return frag.ID{StartPC: e.pc, BrMask: e.mask, NumBr: e.nbr} }
+
+func (e *entry) empty() bool { return e.pc == 0 && e.mask == 0 && e.nbr == 0 }
+
+func (e *entry) holds(id frag.ID) bool {
+	return e.pc == id.StartPC && e.mask == id.BrMask && e.nbr == id.NumBr
 }
 
 // TracePredictor is the two-level path-based next-trace predictor.
@@ -93,25 +119,32 @@ type TracePredictor struct {
 	fromSec  int64
 
 	// The DOLC index layout, fixed by the configuration: the i-th most
-	// recent history key is folded by hist[i] and XORed into the primary
-	// index at bit shift[i]; the concatenation is then folded to the table
-	// by primaryFold, and the newest key alone by secondaryFold.
-	hist          [maxDepth]folder
-	shift         [maxDepth]uint
-	primaryFold   folder
-	secondaryFold folder
+	// recent history key contributes its fold at bit pos[i].field of the
+	// packed History.folds word (Current, Last or Older width), XORed into
+	// the primary index at bit pos[i].shift; the concatenation is then folded
+	// to the table by primaryFold, and the newest key alone by
+	// secondaryFold.
+	cur, last, older folder
+	pos              [maxDepth]struct{ field, shift uint }
+	primaryFold      folder
+	secondaryFold    folder
 
-	// The last history hashed and its table indices. On the correct path
-	// the stream predicts from its speculative history and then trains
-	// with its retirement history, which are equal, so each history is
-	// hashed once.
-	lastHist       History
-	lastPI, lastSI int
-	lastOK         bool
+	// The last key folded and its packed folds: on the correct path the
+	// stream and the warmer push the same key onto the speculative and
+	// the retirement history, so each key is folded once.
+	lastKey   uint64
+	lastFolds uint64
+	lastOK    bool
 }
 
+// maxFoldBits bounds each DOLC field width so that a key's three folds pack
+// into one word of History.folds. New panics on a wider field: the paper's
+// configurations use at most 9 bits, and silently narrowing a field would
+// change the index layout.
+const maxFoldBits = 21
+
 // New creates a predictor with the given configuration; sizes are rounded
-// up to powers of two.
+// up to powers of two. It panics if a DOLC field is wider than maxFoldBits.
 func New(cfg Config) *TracePredictor {
 	if cfg.PrimaryEntries <= 0 {
 		cfg.PrimaryEntries = 64 << 10
@@ -125,24 +158,29 @@ func New(cfg Config) *TracePredictor {
 	if cfg.DOLC.Depth > maxDepth {
 		cfg.DOLC.Depth = maxDepth
 	}
+	if d := cfg.DOLC; max(d.Current, d.Last, d.Older) > maxFoldBits {
+		panic(fmt.Sprintf("bpred: DOLC field wider than %d bits: %+v", maxFoldBits, d))
+	}
 	p := &TracePredictor{
 		cfg:       cfg,
 		primary:   make([]entry, ceilPow2(cfg.PrimaryEntries)),
 		secondary: make([]entry, ceilPow2(cfg.SecondaryEntries)),
+		cur:       newFolder(cfg.DOLC.Current),
+		last:      newFolder(cfg.DOLC.Last),
+		older:     newFolder(cfg.DOLC.Older),
 	}
 	// Current bits from the newest ID, Last bits from the next, Older bits
 	// from each of the remaining Depth-2 IDs, concatenated.
 	var width uint
 	for i := 0; i < cfg.DOLC.Depth; i++ {
-		bits := cfg.DOLC.Older
+		bits, field := cfg.DOLC.Older, uint(2*maxFoldBits)
 		switch i {
 		case 0:
-			bits = cfg.DOLC.Current
+			bits, field = cfg.DOLC.Current, 0
 		case 1:
-			bits = cfg.DOLC.Last
+			bits, field = cfg.DOLC.Last, maxFoldBits
 		}
-		p.hist[i] = newFolder(bits)
-		p.shift[i] = width % 48
+		p.pos[i].field, p.pos[i].shift = field, width%48
 		width += bits
 	}
 	p.primaryFold = newFolder(tableBits(len(p.primary)))
@@ -184,12 +222,47 @@ func (f *folder) fold(v uint64) uint64 {
 	return v
 }
 
+// foldKey packs key's Current, Last and Older folds into one word, at the
+// bit fields New assigned them.
+func (p *TracePredictor) foldKey(key uint64) uint64 {
+	if !p.lastOK || key != p.lastKey {
+		p.lastKey, p.lastOK = key, true
+		p.lastFolds = p.cur.fold(key) | p.last.fold(key)<<maxFoldBits | p.older.fold(key)<<(2*maxFoldBits)
+	}
+	return p.lastFolds
+}
+
+// Push appends the key of a new fragment ID to h, evicting the oldest, and
+// folds it once for this predictor's index layout.
+func (p *TracePredictor) Push(h *History, key uint64) {
+	if h.foldedBy != p {
+		h.push(key)
+		p.refold(h)
+		return
+	}
+	h.folds[h.push(key)] = p.foldKey(key)
+}
+
+// refold folds every key h holds under this predictor's layout.
+func (p *TracePredictor) refold(h *History) {
+	for i := 0; i < h.n; i++ {
+		slot := (h.head + i) % maxDepth
+		h.folds[slot] = p.foldKey(h.keys[slot])
+	}
+	h.foldedBy = p
+}
+
 // primaryIndex hashes the full DOLC history (see the layout in New). Keys
 // the history does not hold yet count as zero, which folds to nothing.
 func (p *TracePredictor) primaryIndex(h *History) int {
+	if h.foldedBy != p {
+		p.refold(h)
+	}
+	const mask = 1<<maxFoldBits - 1
 	var acc uint64
-	for i := 0; i < min(p.cfg.DOLC.Depth, h.n); i++ {
-		acc ^= p.hist[i].fold(h.keys[(h.head+h.n-1-i)%maxDepth]) << p.shift[i]
+	newest := uint(h.head + h.n - 1)
+	for i, pos := range p.pos[:min(p.cfg.DOLC.Depth, h.n)] {
+		acc ^= (h.folds[(newest-uint(i))%maxDepth] >> pos.field & mask) << pos.shift
 	}
 	return int(p.primaryFold.fold(acc))
 }
@@ -202,11 +275,7 @@ func (p *TracePredictor) secondaryIndex(h *History) int {
 
 // indices returns both table indices for h.
 func (p *TracePredictor) indices(h *History) (pi, si int) {
-	if !p.lastOK || *h != p.lastHist {
-		p.lastHist, p.lastOK = *h, true
-		p.lastPI, p.lastSI = p.primaryIndex(h), p.secondaryIndex(h)
-	}
-	return p.lastPI, p.lastSI
+	return p.primaryIndex(h), p.secondaryIndex(h)
 }
 
 func tableBits(n int) uint {
@@ -228,21 +297,13 @@ type Prediction struct {
 // The primary table predicts when its entry is confident (counter >= 2);
 // otherwise the secondary table predicts if it has ever been trained.
 func (p *TracePredictor) Predict(h *History) Prediction {
-	p.predicts++
 	pi, si := p.indices(h)
-	pe := p.primary[pi]
-	if pe.ctr >= 2 && !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
-	}
-	se := p.secondary[si]
-	if !se.id.Zero() {
+	pred := p.peekAt(pi, si)
+	p.predicts++
+	if pred.FromSecondary {
 		p.fromSec++
-		return Prediction{ID: se.id, Valid: true, FromSecondary: true}
 	}
-	if !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
-	}
-	return Prediction{}
+	return pred
 }
 
 // Update trains both tables with the actual next fragment for the given
@@ -251,17 +312,34 @@ func (p *TracePredictor) Predict(h *History) Prediction {
 // stream — speculative fetch uses checkpointed histories, so recovery is a
 // history restore plus retraining, as in the paper.
 func (p *TracePredictor) Update(h *History, actual frag.ID) {
-	p.updates++
-	// The history is hashed once and the indices shared between the
-	// accuracy peek and the training writes — Update is called once per
-	// true-path fragment by the simulator and the functional warmer alike,
-	// and the DOLC fold is the predictor's hottest computation.
 	pi, si := p.indices(h)
-	if pred := p.peekAt(pi, si); pred.Valid && pred.ID == actual {
+	p.trainAt(pi, si, p.peekAt(pi, si), actual)
+}
+
+// PredictAndUpdate is Predict followed by Update(h, actual), hashing h and
+// reading the tables once: the true-path step of the fetch stream and the
+// functional warmer, where the speculative history predicting a fragment
+// and the retirement history training it are the same history.
+func (p *TracePredictor) PredictAndUpdate(h *History, actual frag.ID) Prediction {
+	pi, si := p.indices(h)
+	pred := p.peekAt(pi, si)
+	p.predicts++
+	if pred.FromSecondary {
+		p.fromSec++
+	}
+	p.trainAt(pi, si, pred, actual)
+	return pred
+}
+
+// trainAt is Update over already-computed table indices; before is what
+// the tables predicted there.
+func (p *TracePredictor) trainAt(pi, si int, before Prediction, actual frag.ID) {
+	p.updates++
+	if before.Valid && before.ID == actual {
 		p.correct++
 	}
 	train := func(e *entry) {
-		if e.id == actual {
+		if e.holds(actual) {
 			if e.ctr < 3 {
 				e.ctr++
 			}
@@ -271,26 +349,24 @@ func (p *TracePredictor) Update(h *History, actual frag.ID) {
 			e.ctr--
 			return
 		}
-		e.id = actual
-		e.ctr = 1
+		*e = entry{pc: actual.StartPC, mask: actual.BrMask, nbr: actual.NumBr, ctr: 1}
 	}
 	train(&p.primary[pi])
 	train(&p.secondary[si])
 }
 
-// peekAt is Predict without statistics over already-computed table indices,
-// used for accuracy accounting inside Update.
+// peekAt is the tables' prediction at already-computed indices, without
+// statistics.
 func (p *TracePredictor) peekAt(pi, si int) Prediction {
-	pe := p.primary[pi]
-	if pe.ctr >= 2 && !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	pe := &p.primary[pi]
+	if pe.ctr >= 2 && !pe.empty() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
-	se := p.secondary[si]
-	if !se.id.Zero() {
-		return Prediction{ID: se.id, Valid: true, FromSecondary: true}
+	if se := &p.secondary[si]; !se.empty() {
+		return Prediction{ID: se.id(), Valid: true, FromSecondary: true}
 	}
-	if !pe.id.Zero() {
-		return Prediction{ID: pe.id, Valid: true}
+	if !pe.empty() {
+		return Prediction{ID: pe.id(), Valid: true}
 	}
 	return Prediction{}
 }

@@ -26,7 +26,7 @@ func testProgram(t *testing.T) *program.Program {
 
 func newTestStream(t *testing.T, p *program.Program) *Stream {
 	t.Helper()
-	return NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.DefaultHeuristics(), nil)
+	return NewStream(NewFragTable(p, frag.DefaultHeuristics()), bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), nil)
 }
 
 // drainCorrect pulls fragments from the stream, resolving each divergence
@@ -225,6 +225,7 @@ func mkFrag(seq uint64, n int) *fragState {
 		ff.Frag.Insts = append(ff.Frag.Insts, in)
 		ff.Frag.PCs = append(ff.Frag.PCs, 0x1000*seq+uint64(4*i))
 	}
+	ff.Entry = &FragEntry{Frag: ff.Frag, Writes: rename.WritesOf(ff.Frag.Insts)}
 	return &fragState{ff: ff, effLen: n}
 }
 

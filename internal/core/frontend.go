@@ -76,7 +76,7 @@ func NewUnit(cfg Config, stream *Stream, ic *ICache, be ExecBackend) (*Unit, err
 	}
 	u := &Unit{cfg: cfg, stream: stream, be: be, prof: cfg.Prof, fsp: newFSPool()}
 	u.obs = observer{sink: cfg.Sink, met: cfg.Metrics}
-	stream.Attach(cfg.Sink, cfg.Metrics)
+	stream.Attach(cfg.Sink, cfg.Metrics, cfg.Prof)
 
 	switch cfg.Fetch {
 	case FetchSequential:

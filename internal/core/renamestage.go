@@ -264,7 +264,7 @@ func (pr *parallelRename) cycle(now uint64, q *fragQueue) {
 				// (it is in-order).
 				goto phase2
 			}
-			lo = rename.ComputeLiveOuts(fs.ff.Frag.Insts)
+			lo = fs.ff.Entry.Writes.LiveOuts
 			hit = true
 		}
 		if pr.be.FreeSlots()-pr.reserved < fs.len() {
@@ -355,12 +355,13 @@ phase2:
 }
 
 // finishFragment verifies the live-out prediction against the fragment's
-// actual writes (§4.3) and trains the predictor. A detected misprediction
-// requests a squash of every younger fragment.
+// actual writes (§4.3), decoded once in its fragment-table entry, and
+// trains the predictor. A detected misprediction requests a squash of
+// every younger fragment.
 func (pr *parallelRename) finishFragment(fs *fragState, q *fragQueue) {
-	actual := rename.ComputeLiveOuts(fs.ff.Frag.Insts)
+	writes := fs.ff.Entry.Writes
 	if fs.loHit {
-		if kind := rename.CheckPrediction(fs.loPred, fs.ff.Frag.Insts); kind != rename.PredictionCorrect {
+		if kind := rename.CheckPrediction(fs.loPred, writes); kind != rename.PredictionCorrect {
 			pr.stats.LiveOutMispredict++
 			// Squash all future fragments: they may have consumed
 			// wrong mappings.
@@ -372,7 +373,7 @@ func (pr *parallelRename) finishFragment(fs *fragState, q *fragQueue) {
 			}
 		}
 	}
-	pr.lo.Train(fs.ff.Frag.ID, actual)
+	pr.lo.Train(fs.ff.Frag.ID, writes.LiveOuts)
 }
 
 func (pr *parallelRename) requestSquash(seq uint64) {

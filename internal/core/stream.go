@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"github.com/parallel-frontend/pfe/internal/backend"
 	"github.com/parallel-frontend/pfe/internal/bpred"
@@ -10,8 +12,8 @@ import (
 	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/metrics"
+	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/pool"
-	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/trace"
 )
 
@@ -29,16 +31,15 @@ import (
 // tests), speculative vs. retirement predictor history, and the redirect
 // checkpoint.
 type Stream struct {
-	prog *program.Program
+	tab  *FragTable
 	mach emu.Oracle
 	pred *bpred.TracePredictor
-	heur frag.Heuristics
 
 	// Oracle lookahead: oracle[i] is the true instruction at oracle seq
-	// oracleBase+i and oracleEA[i] its effective address. refill keeps
-	// lookahead entries from trueCursor on and trims the consumed prefix
-	// only once it is several lookaheads long, so the memmove is amortized
-	// over many fragments.
+	// oracleBase+i and oracleEA[i] its effective address, batch-decoded by
+	// the oracle's Fill. refill keeps lookahead entries from trueCursor on
+	// and trims the consumed prefix only once it is several lookaheads
+	// long, so the memmove is amortized over many fragments.
 	oracle     []frag.Dyn
 	oracleEA   []uint64
 	oracleBase uint64
@@ -66,20 +67,23 @@ type Stream struct {
 	fragsCorrect   int64
 	doneTrue       bool // true path fully generated (halt fragment emitted)
 
+	// err is the first failure of the oracle or of fragment generation on
+	// the true path. It is sticky: Next returns it from then on, and the
+	// simulator ends the run with it (Err) rather than mistaking it for
+	// the program halting.
+	err error
+
 	// ffPool recycles FetchedFrags (and their inline op storage) once the
 	// owning Unit proves every reference is gone — the cycle loop's biggest
-	// allocation source before pooling. fragMemo caches FromCode results:
-	// Fragments are immutable and FromCode is a pure function of
-	// (program, id), so each distinct fragment is constructed once per
-	// simulation and shared by every subsequent use.
-	ffPool   *pool.FreeList[FetchedFrag]
-	fragMemo map[frag.ID]*frag.Fragment
+	// allocation source before pooling.
+	ffPool *pool.FreeList[FetchedFrag]
 
 	// Observability: attached by the owning Unit; now is the current
 	// cycle, advanced by Unit.Cycle via Tick so prediction events carry
 	// the cycle they were made in.
 	sink trace.Sink
 	met  *metrics.Pipeline
+	prof *obs.StageProf
 	now  uint64
 }
 
@@ -96,8 +100,9 @@ type Redirect struct {
 // FetchedFrag is one generated fragment with everything the fetch and
 // rename stages need.
 type FetchedFrag struct {
-	Frag *frag.Fragment
-	Ops  []*backend.Op // parallel to Frag.Insts
+	Frag  *frag.Fragment
+	Entry *FragEntry    // Frag's fragment-table entry (its decode)
+	Ops   []*backend.Op // parallel to Frag.Insts
 	// WrongFrom is the index of the first wrong-path instruction
 	// (len(Ops) when the fragment is fully correct-path).
 	WrongFrom int
@@ -122,25 +127,23 @@ type FetchedFrag struct {
 // idles; the pending redirect will restart fetch.
 var ErrNoFragment = errors.New("core: no fragment available")
 
-// NewStream builds a stream over the given oracle for p; a nil oracle means
-// a fresh live emulator (the cold path). An artifact-cache tape reader
-// passed here replays a recorded dynamic stream instead — bit-identical by
-// the tape package's contract, so the rest of the front-end cannot tell the
-// difference. A zero Heuristics value selects the paper's fragment
-// selection.
-func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics, oracle emu.Oracle) *Stream {
+// NewStream builds a stream over the given oracle for the program and
+// fragment heuristics of tab (whose fragments it builds and reuses); a nil
+// oracle means a fresh live emulator (the cold path). An artifact-cache tape
+// reader passed here replays a recorded dynamic stream instead —
+// bit-identical by the tape package's contract, so the rest of the
+// front-end cannot tell the difference.
+func NewStream(tab *FragTable, pred *bpred.TracePredictor, oracle emu.Oracle) *Stream {
 	if oracle == nil {
-		oracle = emu.New(p)
+		oracle = emu.New(tab.prog)
 	}
 	s := &Stream{
-		prog:     p,
-		mach:     oracle,
-		pred:     pred,
-		heur:     h,
-		maxLen:   h.MaxFragLen(),
-		nextSeq:  1,
-		onTrue:   true,
-		fragMemo: make(map[frag.ID]*frag.Fragment, 256),
+		tab:     tab,
+		mach:    oracle,
+		pred:    pred,
+		maxLen:  tab.heur.MaxFragLen(),
+		nextSeq: 1,
+		onTrue:  true,
 		// refill never holds more than five lookaheads (see there).
 		oracle:   make([]frag.Dyn, 0, 5*lookahead),
 		oracleEA: make([]uint64, 0, 5*lookahead),
@@ -154,19 +157,6 @@ func NewStream(p *program.Program, pred *bpred.TracePredictor, h frag.Heuristics
 	})
 	s.refill()
 	return s
-}
-
-// fragFor returns the fragment for id, memoized: FromCode is pure and
-// Fragments are immutable, so one construction per distinct id serves the
-// whole simulation (the trace cache and fragment buffers already share
-// Fragment pointers the same way).
-func (s *Stream) fragFor(id frag.ID) *frag.Fragment {
-	if f, ok := s.fragMemo[id]; ok {
-		return f
-	}
-	f := s.heur.FromCode(s.prog, id)
-	s.fragMemo[id] = f
-	return f
 }
 
 // RecycleFrag returns ff to the stream's free list. The owning Unit calls
@@ -196,22 +186,30 @@ func (s *Stream) PoolStats() pool.Stats { return s.ffPool.Stats() }
 const lookahead = 8 * frag.MaxLen
 
 // refill tops the lookahead back up to its full depth from trueCursor,
-// first trimming the consumed entries if they have piled up.
+// first trimming the consumed entries if they have piled up, in one batch
+// decode straight into the lookahead. A decode error is kept (see err);
+// the instructions decoded before it stay usable.
 func (s *Stream) refill() {
 	if drop := int(s.trueCursor - s.oracleBase); drop >= 4*lookahead {
 		s.oracle = s.oracle[:copy(s.oracle, s.oracle[drop:])]
 		s.oracleEA = s.oracleEA[:copy(s.oracleEA, s.oracleEA[drop:])]
 		s.oracleBase = s.trueCursor
 	}
-	for uint64(len(s.oracle)) < s.trueCursor-s.oracleBase+lookahead && !s.mach.Halted() {
-		d, err := s.mach.Step()
-		if err != nil {
-			return
-		}
-		s.oracle = append(s.oracle, frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken})
-		s.oracleEA = append(s.oracleEA, d.EA)
+	have, want := len(s.oracle), int(s.trueCursor-s.oracleBase)+lookahead
+	if have >= want || s.err != nil || s.mach.Halted() {
+		return
+	}
+	s.oracle = slices.Grow(s.oracle, want-have)[:want]
+	s.oracleEA = slices.Grow(s.oracleEA, want-have)[:want]
+	n, err := s.mach.Fill(s.oracle[have:], s.oracleEA[have:])
+	s.oracle, s.oracleEA = s.oracle[:have+n], s.oracleEA[:have+n]
+	if err != nil {
+		s.err = fmt.Errorf("core: oracle stream at seq %d: %w", s.oracleBase+uint64(have+n), err)
 	}
 }
+
+// Err returns the stream's sticky failure, if any (see Stream.err).
+func (s *Stream) Err() error { return s.err }
 
 // oracleAt returns the index of seq's entry in oracle and oracleEA
 // (ok=false below trueCursor or beyond the lookahead).
@@ -222,11 +220,12 @@ func (s *Stream) oracleAt(seq uint64) (int, bool) {
 	return int(seq - s.oracleBase), true
 }
 
-// Attach wires the optional event sink and pipeline metrics into the
-// stream. Called once by NewUnit; nil values are fine.
-func (s *Stream) Attach(sink trace.Sink, met *metrics.Pipeline) {
+// Attach wires the optional event sink, pipeline metrics and self-profiler
+// into the stream. Called once by NewUnit; nil values are fine.
+func (s *Stream) Attach(sink trace.Sink, met *metrics.Pipeline, prof *obs.StageProf) {
 	s.sink = sink
 	s.met = met
+	s.prof = prof
 }
 
 // Tick tells the stream the current cycle (for event timestamps).
@@ -246,13 +245,32 @@ func (s *Stream) Accuracy() (generated, correct int64) {
 
 // Next generates the next speculative fragment. The caller enforces the
 // one-prediction-per-cycle limit. After the program's halt fragment has
-// been generated, Next returns ErrNoFragment forever.
+// been generated, Next returns ErrNoFragment forever; after a failure (see
+// Err), it returns that failure forever. On self-profiled cycles its time
+// is attributed to the fetch_oracle stage, a subset of fetch.
 func (s *Stream) Next() (*FetchedFrag, error) {
+	if s.prof.Sampled(s.now) {
+		t0 := time.Now()
+		ff, err := s.next()
+		s.prof.Add(obs.StageFetchOracle, time.Since(t0))
+		return ff, err
+	}
+	return s.next()
+}
+
+func (s *Stream) next() (*FetchedFrag, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
 	if s.onTrue {
 		if s.doneTrue {
 			return nil, ErrNoFragment
 		}
-		return s.nextTruePath()
+		ff, err := s.nextTruePath()
+		if err != nil && err != ErrNoFragment {
+			s.err = err
+		}
+		return ff, err
 	}
 	return s.nextWrongPath()
 }
@@ -269,14 +287,21 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 	}
 	truePC := s.oracle[start].PC
 
-	// Choose the predicted ID: the predictor's if it agrees on the start
-	// PC, otherwise a not-taken walk from the known start.
-	pred := s.pred.Predict(&s.specHist)
+	// Determine the true fragment at this position, predict the next
+	// fragment and train the predictor with the true one. On the true path
+	// the speculative and retirement histories are equal — a correct
+	// fragment pushes the same ID onto both, and a redirect restores both
+	// from its checkpoint — so one history serves the prediction and the
+	// training. The predicted ID is the predictor's if it agrees on the
+	// start PC, otherwise a not-taken walk from the known start.
+	trueLen, trueID := s.splitTrue(s.trueCursor)
+	pred := s.pred.PredictAndUpdate(&s.specHist, trueID)
 	id := frag.ID{StartPC: truePC}
 	if pred.Valid && pred.ID.StartPC == truePC {
 		id = pred.ID
 	}
-	f := s.fragFor(id)
+	e := s.tab.Get(id)
+	f := e.Frag
 	if f.Len() == 0 {
 		return nil, fmt.Errorf("core: empty fragment at true PC %#x", truePC)
 	}
@@ -290,19 +315,14 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 		}
 	}
 
-	// Determine the true fragment at this position for training and
-	// retirement history.
-	trueLen, trueID := s.splitTrue(s.trueCursor)
-	s.pred.Update(&s.retireHist, trueID)
-
-	ff := s.materialize(f, m)
+	ff := s.materialize(e, m)
 	s.fragsGenerated++
-	s.specHist.Push(f.ID.Key())
+	s.pred.Push(&s.specHist, f.ID.Key())
 
 	if m == f.Len() && f.ID == trueID {
 		// Fully correct fragment (boundary and directions included).
 		s.fragsCorrect++
-		s.retireHist.Push(trueID.Key())
+		s.pred.Push(&s.retireHist, trueID.Key())
 		s.trueCursor += uint64(trueLen)
 		if f.Insts[f.Len()-1].Op == isa.OpHalt {
 			s.doneTrue = true
@@ -312,7 +332,7 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 
 	// Divergence. Instructions [0,m) are correct path and will commit;
 	// the divergence resolves when the culprit executes.
-	s.retireHist.Push(trueID.Key())
+	s.pred.Push(&s.retireHist, trueID.Key())
 	red := s.redFree
 	s.redFree = nil
 	if red == nil {
@@ -358,7 +378,7 @@ func (s *Stream) nextTruePath() (*FetchedFrag, error) {
 // decide the split.
 func (s *Stream) splitTrue(seq uint64) (int, frag.ID) {
 	held := s.oracle[min(seq-s.oracleBase, uint64(len(s.oracle))):]
-	return s.heur.Split(held[:min(len(held), s.maxLen)])
+	return s.tab.heur.Split(held[:min(len(held), s.maxLen)])
 }
 
 // nextWrongPath generates a fragment beyond the divergence point: pure
@@ -378,13 +398,14 @@ func (s *Stream) nextWrongPath() (*FetchedFrag, error) {
 	default:
 		return nil, ErrNoFragment
 	}
-	f := s.fragFor(id)
+	e := s.tab.Get(id)
+	f := e.Frag
 	if f.Len() == 0 {
 		return nil, ErrNoFragment
 	}
-	ff := s.materialize(f, 0) // entirely wrong path
+	ff := s.materialize(e, 0) // entirely wrong path
 	s.fragsGenerated++
-	s.specHist.Push(f.ID.Key())
+	s.pred.Push(&s.specHist, f.ID.Key())
 	return ff, nil
 }
 
@@ -413,12 +434,14 @@ func (s *Stream) successorOf(f *frag.Fragment) (uint64, bool) {
 }
 
 // materialize assigns sequence numbers, dependence edges and oracle
-// effective addresses to the fragment's instructions. wrongFrom is the
-// index of the first wrong-path instruction (0 for fully wrong-path
-// fragments; f.Len() would mean fully correct but callers pass m).
-func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
+// effective addresses to the instructions of e's fragment, from the
+// entry's decode. wrongFrom is the index of the first wrong-path
+// instruction (0 for fully wrong-path fragments; f.Len() would mean fully
+// correct but callers pass m).
+func (s *Stream) materialize(e *FragEntry, wrongFrom int) *FetchedFrag {
+	f := e.Frag
 	ff := s.ffPool.Get()
-	ff.Frag = f
+	ff.Frag, ff.Entry = f, e
 	ff.Ops = ff.opsPtrs[:f.Len()]
 	if s.onTrue {
 		ff.WrongFrom = wrongFrom
@@ -447,17 +470,17 @@ func (s *Stream) materialize(f *frag.Fragment, wrongFrom int) *FetchedFrag {
 			ff.lastWriterAtWrong = s.lastWriter
 		}
 		// Dependence edges from the speculative last-writer table.
-		var srcs [3]isa.Reg
-		for _, src := range in.Sources(srcs[:0]) {
+		d := &e.deps[i]
+		for _, src := range d.srcs[:d.nsrc] {
 			if w := s.lastWriter[src]; w != 0 {
 				op.Producers[op.NProd] = w - 1
 				op.NProd++
 			}
 		}
-		if rd, ok := in.Dest(); ok {
+		if rd := e.Writes.Dests[i]; rd != isa.RegZero {
 			s.lastWriter[rd] = op.Seq + 1
 		}
-		if in.IsMem() && !op.WrongPath {
+		if d.mem && !op.WrongPath {
 			if j, ok := s.oracleAt(s.trueCursor + uint64(i)); ok {
 				op.EA = s.oracleEA[j]
 			}

@@ -30,7 +30,7 @@ func newUnitRig(t *testing.T, cfg Config) *unitRig {
 		t.Fatal(err)
 	}
 	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig())
-	stream := NewStream(p, bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), frag.Heuristics{}, nil)
+	stream := NewStream(NewFragTable(p, frag.Heuristics{}), bpred.New(bpred.Config{PrimaryEntries: 4096, SecondaryEntries: 1024}), nil)
 	be := backend.New(backend.DefaultConfig(), hier.L1D)
 	ic := &ICache{L1I: hier.L1I, Banks: hier.IBanks}
 	unit, err := NewUnit(cfg, stream, ic, be)

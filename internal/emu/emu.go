@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -20,12 +21,21 @@ var ErrHalted = errors.New("emu: program halted")
 
 // Oracle is the dynamic-stream source the timing simulator consumes: the
 // live Machine, or any replacement producing the identical stream (e.g. an
-// artifact-cache tape replayer). Step returns the next executed instruction;
-// Halted reports that the program has executed OpHalt. Implementations must
-// be bit-exact with Machine: the simulator's determinism guarantees are
-// defined against its stream.
+// artifact-cache tape replayer). Halted reports that the program has
+// executed OpHalt. Implementations must be bit-exact with Machine: the
+// simulator's determinism guarantees are defined against its stream.
+//
+// Fill is the batch form of Machine.Step, the one the simulator's stream
+// and the functional warmers consume: it decodes the next instructions
+// straight into dyn, with each one's effective address (0 for non-memory
+// instructions) at the same index of ea, which must be at least as long as
+// dyn. It stops after len(dyn) instructions or after OpHalt, whichever
+// comes first, and returns how many it decoded; a halted oracle decodes
+// none. On an error, the n instructions before the failing one are valid
+// and the oracle stands at the failing one — exactly where, and with the
+// error, a Step loop would have stopped.
 type Oracle interface {
-	Step() (DynInst, error)
+	Fill(dyn []frag.Dyn, ea []uint64) (n int, err error)
 	Halted() bool
 }
 
@@ -263,6 +273,23 @@ func (m *Machine) storeWord(ea uint64, v uint32) {
 		m.stray = make(map[uint64]uint32)
 	}
 	m.stray[ea] = v
+}
+
+// Fill executes instructions into dyn and ea (see Oracle.Fill).
+func (m *Machine) Fill(dyn []frag.Dyn, ea []uint64) (int, error) {
+	ea = ea[:len(dyn)]
+	for i := range dyn {
+		if m.halted {
+			return i, nil
+		}
+		d, err := m.Step()
+		if err != nil {
+			return i, err
+		}
+		dyn[i] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
+		ea[i] = d.EA
+	}
+	return len(dyn), nil
 }
 
 // Run executes up to maxInsts instructions (or until halt) and returns the

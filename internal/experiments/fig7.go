@@ -78,13 +78,13 @@ func runFig7(o Options) (fmt.Stringer, error) {
 			for i := 0; i < n; i++ {
 				insts[i] = stream[i].Inst
 			}
-			actual := rename.ComputeLiveOuts(insts)
+			writes := rename.WritesOf(insts)
 			for key, lp := range preds {
 				if pred, ok := lp.Predict(id); ok &&
-					rename.CheckPrediction(pred, insts) == rename.PredictionCorrect {
+					rename.CheckPrediction(pred, writes) == rename.PredictionCorrect {
 					correct[key]++
 				}
-				lp.Train(id, actual)
+				lp.Train(id, writes.LiveOuts)
 			}
 			stream = stream[:copy(stream, stream[n:])]
 			total += int64(n)

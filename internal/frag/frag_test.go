@@ -3,9 +3,7 @@ package frag
 import (
 	"testing"
 
-	"github.com/parallel-frontend/pfe/internal/emu"
 	"github.com/parallel-frontend/pfe/internal/isa"
-	"github.com/parallel-frontend/pfe/internal/program"
 )
 
 func straight(pc uint64, n int) []Dyn {
@@ -95,103 +93,6 @@ func TestIDKeyUniqueness(t *testing.T) {
 		}
 		seen[k] = id
 	}
-}
-
-// TestFromCodeMatchesSplit is the core speculative-fetch correctness
-// property: splitting the true dynamic stream yields an ID; walking the
-// static code with that ID must reproduce the exact same instruction
-// sequence. The front-end relies on this equivalence whenever a fragment
-// prediction is correct.
-func TestFromCodeMatchesSplit(t *testing.T) {
-	p := program.MustBuild(program.TestSpec())
-	m := emu.New(p)
-
-	var stream []Dyn
-	refill := func() {
-		for len(stream) < 2*MaxLen && !m.Halted() {
-			d, err := m.Step()
-			if err != nil {
-				break
-			}
-			stream = append(stream, Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken})
-		}
-	}
-
-	frags := 0
-	for refill(); len(stream) > 0; refill() {
-		n, id := Split(stream)
-		if n == 0 {
-			break
-		}
-		f := FromCode(p, id)
-		if f.Len() != n {
-			t.Fatalf("fragment %d %v: FromCode length %d, split length %d", frags, id, f.Len(), n)
-		}
-		for i := 0; i < n; i++ {
-			if f.PCs[i] != stream[i].PC {
-				t.Fatalf("fragment %d %v: PC[%d] = %#x, stream %#x", frags, id, i, f.PCs[i], stream[i].PC)
-			}
-			if f.Insts[i] != stream[i].Inst {
-				t.Fatalf("fragment %d %v: inst[%d] mismatch", frags, id, i)
-			}
-		}
-		stream = stream[n:]
-		frags++
-	}
-	if frags < 100 {
-		t.Errorf("only %d fragments checked", frags)
-	}
-}
-
-// TestTable2FragmentSizes calibrates the suite against the paper's Table 2:
-// every benchmark's average fragment size must land in the paper's overall
-// range (roughly 9–13 instructions).
-func TestTable2FragmentSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite calibration is not short")
-	}
-	for _, spec := range program.Suite() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			avg := averageFragmentSize(t, spec, 120_000)
-			if avg < 7.5 || avg > 14.5 {
-				t.Errorf("%s: average fragment size %.2f outside plausible range [7.5,14.5]", spec.Name, avg)
-			}
-			t.Logf("%s: avg fragment size %.2f", spec.Name, avg)
-		})
-	}
-}
-
-func averageFragmentSize(t *testing.T, spec program.Spec, maxInsts int) float64 {
-	t.Helper()
-	p, err := program.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := emu.New(p)
-	var stream []Dyn
-	total, frags := 0, 0
-	for total < maxInsts {
-		for len(stream) < 2*MaxLen && !m.Halted() {
-			d, err := m.Step()
-			if err != nil {
-				break
-			}
-			stream = append(stream, Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken})
-		}
-		if len(stream) == 0 {
-			break
-		}
-		n, _ := Split(stream)
-		stream = stream[n:]
-		total += n
-		frags++
-	}
-	if frags == 0 {
-		t.Fatal("no fragments")
-	}
-	return float64(total) / float64(frags)
 }
 
 func TestPoolReuse(t *testing.T) {

@@ -86,6 +86,8 @@ func TestLiveScrapeDuringAcceleratedRuns(t *testing.T) {
 		"pfe_slice_slices_total 4",
 		"pfe_slice_seam_cycles_total ",
 		"pfe_slice_seam_trimmed_instructions_total ",
+		`pfe_stage_seconds_total{stage="warm"}`,
+		`pfe_stage_seconds_total{stage="fetch_oracle"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -96,6 +98,9 @@ func TestLiveScrapeDuringAcceleratedRuns(t *testing.T) {
 	}
 	if sc.SampleGapInsts.Value() == 0 {
 		t.Error("no fast-forwarded gap instructions counted")
+	}
+	if warm := sc.Prof.StageSeconds(obs.StageWarm); warm <= 0 {
+		t.Errorf("no warm stage time attributed to the sampled run: %v", warm)
 	}
 	if sc.Slices.Value() != 4 {
 		t.Errorf("Slices = %d, want 4", sc.Slices.Value())

@@ -153,7 +153,7 @@ func NewSimCounters(r *Registry) *SimCounters {
 	for _, st := range Stages() {
 		st := st
 		r.CounterFunc("pfe_stage_seconds_total",
-			"Estimated simulator wall time attributed to each pipeline stage (sampled; rename_phase1/2 are a sub-breakdown of rename).",
+			"Estimated simulator wall time attributed to each pipeline stage (sampled; fetch_oracle is a sub-breakdown of fetch, rename_phase1/2 of rename; warm is sampled runs' functional warming, timed in full).",
 			func() float64 { return s.Prof.StageSeconds(st) },
 			"stage", st.String())
 	}

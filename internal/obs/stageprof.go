@@ -26,6 +26,14 @@ const (
 	StageRenameP2
 	// StageBackend is the out-of-order back-end (wakeup, execute, commit).
 	StageBackend
+	// StageFetchOracle is the fragment stream's share of fetch (Stream.Next:
+	// prediction, oracle decode, fragment materialization). It is a subset
+	// of StageFetch, as the rename phases are of StageRename.
+	StageFetchOracle
+	// StageWarm is a sampled run's functional warming: gap replay and warm
+	// pack build or restore, timed in full once per gap rather than on
+	// sampled cycles.
+	StageWarm
 
 	numStages
 )
@@ -43,13 +51,17 @@ func (s Stage) String() string {
 		return "rename_phase2"
 	case StageBackend:
 		return "backend"
+	case StageFetchOracle:
+		return "fetch_oracle"
+	case StageWarm:
+		return "warm"
 	}
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
 // Stages lists every attribution bucket.
 func Stages() []Stage {
-	return []Stage{StageFetch, StageRename, StageRenameP1, StageRenameP2, StageBackend}
+	return []Stage{StageFetch, StageRename, StageRenameP1, StageRenameP2, StageBackend, StageFetchOracle, StageWarm}
 }
 
 // StageProf attributes the simulator's own wall time to pipeline stages via
@@ -63,7 +75,8 @@ func Stages() []Stage {
 type StageProf struct {
 	mask  uint64
 	every int64
-	nanos [numStages]Counter
+	nanos [numStages]Counter // sampled time, scaled by every when reported
+	total [numStages]Counter // time measured in full (AddTotal)
 }
 
 // DefaultSampleEvery is the default sampling period in cycles.
@@ -90,13 +103,18 @@ func (p *StageProf) Sampled(cycle uint64) bool {
 // SampleEvery returns the sampling period in cycles.
 func (p *StageProf) SampleEvery() int64 { return p.every }
 
-// Add attributes a measured duration to a stage.
+// Add attributes a duration measured on a sampled cycle to a stage.
 func (p *StageProf) Add(s Stage, d time.Duration) { p.nanos[s].Add(int64(d)) }
 
+// AddTotal attributes a duration measured in full — not on a sampled cycle,
+// so never scaled — to a stage.
+func (p *StageProf) AddTotal(s Stage, d time.Duration) { p.total[s].Add(int64(d)) }
+
 // StageSeconds returns the estimated total wall time of one stage
-// (measured sampled time scaled by the sampling factor).
+// (measured sampled time scaled by the sampling factor, plus time measured
+// in full).
 func (p *StageProf) StageSeconds(s Stage) float64 {
-	return float64(p.nanos[s].Value()*p.every) / 1e9
+	return float64(p.nanos[s].Value()*p.every+p.total[s].Value()) / 1e9
 }
 
 // Merge adds another profiler's raw samples into p. Both must use the same
@@ -107,6 +125,7 @@ func (p *StageProf) Merge(from *StageProf) {
 	}
 	for s := Stage(0); s < numStages; s++ {
 		p.nanos[s].Add(from.nanos[s].Value())
+		p.total[s].Add(from.total[s].Value())
 	}
 }
 
@@ -142,8 +161,9 @@ func FormatStageSeconds(sec map[string]float64) string {
 	var total float64
 	for k, v := range sec {
 		rows = append(rows, kv{k, v})
-		// Phase 1/2 are a sub-breakdown of rename; don't double count.
-		if k != StageRenameP1.String() && k != StageRenameP2.String() {
+		// Phase 1/2 are a sub-breakdown of rename and the oracle one of
+		// fetch; don't double count.
+		if k != StageRenameP1.String() && k != StageRenameP2.String() && k != StageFetchOracle.String() {
 			total += v
 		}
 	}

@@ -196,20 +196,39 @@ func (k MispredictKind) String() string {
 	return fmt.Sprintf("mispredict(%d)", int(k))
 }
 
+// Writes is a fragment's register writes, decoded once per distinct
+// fragment (the simulator's per-run fragment table keeps one per fragment):
+// the destination of each instruction — isa.RegZero when it writes none,
+// which is unambiguous because writes to r0 are discarded and Dest reports
+// them as none — and the live-outs those writes produce.
+type Writes struct {
+	Dests    []isa.Reg
+	LiveOuts LiveOuts
+}
+
+// WritesOf decodes insts' register writes.
+func WritesOf(insts Insts) Writes {
+	w := Writes{Dests: make([]isa.Reg, len(insts)), LiveOuts: ComputeLiveOuts(insts)}
+	for i, in := range insts {
+		if rd, ok := in.Dest(); ok {
+			w.Dests[i] = rd
+		}
+	}
+	return w
+}
+
 // CheckPrediction compares a live-out prediction against the fragment's
-// actual behaviour and returns the first detected condition, following the
+// actual writes and returns the first detected condition, following the
 // detection order of §4.3: conditions 1 and 3 fire during renaming (at the
 // offending instruction), condition 4 after the fragment completes, and
 // condition 2 is superseded by 4.
-func CheckPrediction(pred LiveOuts, insts Insts) MispredictKind {
-	actual := ComputeLiveOuts(insts)
+func CheckPrediction(pred LiveOuts, w Writes) MispredictKind {
 	// During rename: walk instructions in order. seenLast is a bitmask over
 	// the 64 logical registers (isa.NumRegs fits a uint64), not a map —
 	// this runs once per fragment on the hot path.
 	var seenLast uint64
-	for i, in := range insts {
-		rd, ok := in.Dest()
-		if !ok {
+	for i, rd := range w.Dests {
+		if rd == isa.RegZero {
 			continue
 		}
 		if pred.RegMask&(1<<rd) == 0 {
@@ -225,10 +244,10 @@ func CheckPrediction(pred LiveOuts, insts Insts) MispredictKind {
 	// After rename: every predicted last write must exist and be a real
 	// last write (condition 4), and every predicted live-out register
 	// must have been written (condition 2, superseded by 4).
-	if pred.LastWrite&^actual.LastWrite != 0 {
+	if pred.LastWrite&^w.LiveOuts.LastWrite != 0 {
 		return LastWriteMissing // condition 4
 	}
-	if pred.RegMask&^actual.RegMask != 0 {
+	if pred.RegMask&^w.LiveOuts.RegMask != 0 {
 		return MissingWrite // condition 2
 	}
 	return PredictionCorrect

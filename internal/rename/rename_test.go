@@ -44,20 +44,20 @@ func TestCheckPredictionConditions(t *testing.T) {
 	}
 	correct := ComputeLiveOuts(insts)
 
-	if got := CheckPrediction(correct, insts); got != PredictionCorrect {
+	if got := CheckPrediction(correct, WritesOf(insts)); got != PredictionCorrect {
 		t.Errorf("correct prediction reported %v", got)
 	}
 
 	// Condition 1: r2's write not predicted.
 	c1 := LiveOuts{RegMask: 1 << 1, LastWrite: 1 << 0}
-	if got := CheckPrediction(c1, insts); got != UnpredictedWrite {
+	if got := CheckPrediction(c1, WritesOf(insts)); got != UnpredictedWrite {
 		t.Errorf("condition 1 reported %v", got)
 	}
 
 	// Condition 2: r5 predicted live-out but never written (last-write
 	// bitmap consistent with actual writes so condition 4 stays quiet).
 	c2 := LiveOuts{RegMask: correct.RegMask | 1<<5, LastWrite: correct.LastWrite}
-	if got := CheckPrediction(c2, insts); got != MissingWrite {
+	if got := CheckPrediction(c2, WritesOf(insts)); got != MissingWrite {
 		t.Errorf("condition 2 reported %v", got)
 	}
 
@@ -69,7 +69,7 @@ func TestCheckPredictionConditions(t *testing.T) {
 		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 2},
 	}
 	c3 := LiveOuts{RegMask: 1<<1 | 1<<2, LastWrite: 1<<0 | 1<<1}
-	if got := CheckPrediction(c3, insts3); got != WriteAfterLast {
+	if got := CheckPrediction(c3, WritesOf(insts3)); got != WriteAfterLast {
 		t.Errorf("condition 3 reported %v", got)
 	}
 
@@ -80,13 +80,13 @@ func TestCheckPredictionConditions(t *testing.T) {
 		{Op: isa.OpSw, Rs1: 30, Rs2: 1, Imm: 0},
 	}
 	c4 := LiveOuts{RegMask: 1 << 1, LastWrite: 1 << 1}
-	if got := CheckPrediction(c4, insts4); got != LastWriteMissing {
+	if got := CheckPrediction(c4, WritesOf(insts4)); got != LastWriteMissing {
 		t.Errorf("condition 4 reported %v", got)
 	}
 
 	// Condition 4 supersedes condition 2.
 	c42 := LiveOuts{RegMask: 1<<1 | 1<<5, LastWrite: 1 << 1}
-	if got := CheckPrediction(c42, insts4); got != LastWriteMissing {
+	if got := CheckPrediction(c42, WritesOf(insts4)); got != LastWriteMissing {
 		t.Errorf("4-supersedes-2 reported %v", got)
 	}
 }
@@ -296,7 +296,7 @@ func TestLiveOutAccuracyOnSuite(t *testing.T) {
 		correct, total := 0, 0
 		for _, f := range frags {
 			pred, ok := lp.Predict(f.ID)
-			if ok && CheckPrediction(pred, f.Insts) == PredictionCorrect {
+			if ok && CheckPrediction(pred, WritesOf(f.Insts)) == PredictionCorrect {
 				correct++
 			}
 			total++

@@ -113,6 +113,16 @@ type Config struct {
 	// front-end self-contained.
 	LiveOut *rename.LiveOutPredictor
 	TC      *tcache.Cache
+
+	// FragTable, if non-nil, is an externally built fragment table (see
+	// core.FragTable) the run uses instead of starting an empty one — the
+	// seam through which a sampled run shares one table between its
+	// functional warmer and every detailed window, so no window rebuilds
+	// a fragment an earlier one built. It must be for the run's program
+	// and FrontEnd.FragHeuristics, and must not be shared with a
+	// concurrent run. Its contents never change results, only how often
+	// fragments are built.
+	FragTable *core.FragTable
 }
 
 // Result is one simulation's measurements (post-warmup).
@@ -248,7 +258,13 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 	if pred == nil {
 		pred = bpred.New(cfg.FrontEnd.Predictor)
 	}
-	stream := core.NewStream(p, pred, cfg.FrontEnd.FragHeuristics, cfg.Oracle)
+	tab := cfg.FragTable
+	if tab == nil {
+		tab = core.NewFragTable(p, cfg.FrontEnd.FragHeuristics)
+	} else if !tab.For(p, cfg.FrontEnd.FragHeuristics) {
+		return nil, fmt.Errorf("sim: fragment table is for another program or fragment heuristics")
+	}
+	stream := core.NewStream(tab, pred, cfg.Oracle)
 	be := backend.New(cfg.Backend, hier.L1D)
 	be.CommitHook = cfg.CommitHook
 	be.Sink = cfg.Events
@@ -327,6 +343,13 @@ func (s *Sim) Step() bool {
 		s.be.StartCycle(now)
 		s.fe.Cycle(now)
 		n, res = s.be.Cycle(now)
+	}
+	if err := s.stream.Err(); err != nil {
+		// The oracle or fragment generation failed: the run cannot go on,
+		// and must not end as if the program had halted.
+		s.err = fmt.Errorf("sim: %s/%s at cycle %d: %w", cfg.FrontEnd.Name, s.p.Name, now, err)
+		s.stopped = true
+		return false
 	}
 	if cfg.Obs != nil && now&(obsFlushCycles-1) == obsFlushCycles-1 {
 		s.flushObs(now)

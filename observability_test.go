@@ -84,7 +84,9 @@ func TestHistogramsNilSafe(t *testing.T) {
 
 // TestSampledSelfProfileStageSeconds: a sampled run profiles every detailed
 // window and sums their stage times, so it reports the same stages as a full
-// run, each nonzero — no execution path may silently report zeros.
+// run, each nonzero — no execution path may silently report zeros — plus
+// the functional warming between windows. On both paths the oracle stream
+// is a part of fetch.
 func TestSampledSelfProfileStageSeconds(t *testing.T) {
 	opts := RunOptions{WarmupInsts: 10_000, MeasureInsts: 40_000, SelfProfile: true}
 	full, err := Run("gcc", Preset(PR2x8w), opts)
@@ -99,12 +101,20 @@ func TestSampledSelfProfileStageSeconds(t *testing.T) {
 	if sampled.Sampling == nil || sampled.Sampling.Windows < 2 {
 		t.Fatalf("want a multi-window sampled run, got %+v", sampled.Sampling)
 	}
-	if len(sampled.StageSeconds) != len(full.StageSeconds) {
-		t.Errorf("sampled stages %v, full run stages %v", sampled.StageSeconds, full.StageSeconds)
+	if _, ok := full.StageSeconds["warm"]; ok || len(sampled.StageSeconds) != len(full.StageSeconds)+1 {
+		t.Errorf("sampled stages %v, full run stages %v: want the full run's plus warm", sampled.StageSeconds, full.StageSeconds)
 	}
 	for stage := range full.StageSeconds {
 		if sampled.StageSeconds[stage] <= 0 {
 			t.Errorf("sampled StageSeconds[%q] = %v, want > 0 (have %v)", stage, sampled.StageSeconds[stage], sampled.StageSeconds)
+		}
+	}
+	if sampled.StageSeconds["warm"] <= 0 {
+		t.Errorf("sampled StageSeconds[warm] = %v, want > 0", sampled.StageSeconds["warm"])
+	}
+	for _, r := range []*Result{full, sampled} {
+		if o, f := r.StageSeconds["fetch_oracle"], r.StageSeconds["fetch"]; o <= 0 || o > f {
+			t.Errorf("fetch_oracle %v, fetch %v: want 0 < fetch_oracle <= fetch", o, f)
 		}
 	}
 }

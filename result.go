@@ -60,10 +60,12 @@ type Result struct {
 	Pipeline *metrics.Pipeline
 
 	// StageSeconds is the simulator's own wall time attributed per
-	// pipeline stage (fetch, rename, rename_phase1/2 for parallel
-	// renamers, backend), estimated from sampled timers. Nil unless
-	// RunOptions.SelfProfile was set. rename_phase1/2 are a
-	// sub-breakdown of rename, not additional time.
+	// pipeline stage (fetch, fetch_oracle, rename, rename_phase1/2 for
+	// parallel renamers, backend), estimated from sampled timers, plus
+	// warm on sampled runs (functional warming, timed in full per gap).
+	// Nil unless RunOptions.SelfProfile was set. fetch_oracle is a
+	// sub-breakdown of fetch and rename_phase1/2 of rename, not
+	// additional time.
 	StageSeconds map[string]float64
 
 	// SampledIPC is the systematic-sampling IPC estimate (the mean of the

@@ -3,6 +3,7 @@ package pfe
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/parallel-frontend/pfe/internal/artifact"
 	"github.com/parallel-frontend/pfe/internal/bpred"
@@ -10,6 +11,7 @@ import (
 	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/metrics"
+	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/program"
 	"github.com/parallel-frontend/pfe/internal/rename"
 	"github.com/parallel-frontend/pfe/internal/sim"
@@ -89,99 +91,259 @@ func measuredSpan(tape *artifact.Tape, opts RunOptions) (int64, error) {
 // sampling unbiased: the pipeline and in-flight window warm quickly inside
 // the detailed warmup, but caches and predictor tables reach back much
 // further than any affordable detailed region.
+//
+// One warmer trains one or more warm classes in the same replay (union
+// warming, see warmstate.go): a run's own warmer is the one-class case, a
+// hierarchy plus one anchor. There is one training loop for both.
 type warmer struct {
-	rd   *artifact.Reader
-	hier *mem.Hierarchy
-	pred *bpred.TracePredictor
-	lo   *rename.LiveOutPredictor // nil: machine has no live-out predictor
-	tc   *tcache.Cache            // nil: machine has no trace cache
-	prog *program.Program
-	heur frag.Heuristics
+	rd      *artifact.Reader
+	prog    *program.Program
+	hiers   []*warmHier
+	anchors []*warmAnchor
+	members []warmMember
 
-	// Prediction-loop state, mirroring core.Stream: the speculative and
-	// retirement path histories and a lookahead of pending true-path
-	// instructions (the stream's oracle ring). The lookahead is at least
-	// frag.AbsMaxLen deep whenever a fragment is trained, so every split
-	// and match decision is exact.
-	specHist   bpred.History
-	retireHist bpred.History
-	buf        [2 * frag.AbsMaxLen]frag.Dyn
-	n          int
-	fragMemo   map[frag.ID]*frag.Fragment  // FromCode is pure; memoized as in core.Stream
-	loMemo     map[frag.ID]rename.LiveOuts // ComputeLiveOuts is pure per fragment
+	// look is the lookahead every anchor trains from: the stream since the
+	// last resync, batch-decoded by the reader's Fill warmChunk
+	// instructions at a time. Each anchor trains from its own head index;
+	// the entries below the lowest head are dropped once per chunk. ea is
+	// the effective-address scratch of the chunk being decoded.
+	look []frag.Dyn
+	ea   []uint64
+}
 
-	// lastIBlk is the previously touched L1I block address: straight-line
-	// code stays in one block for many instructions, so warming touches the
-	// L1I once per block transition rather than once per instruction (the
-	// resident-block set is identical, only redundant LRU refreshes of the
-	// just-touched way are elided).
+// warmChunk is how many instructions the warmer decodes per batch.
+const warmChunk = 1024
+
+// warmHier is one distinct memory hierarchy under training, with its own
+// L1I block-elision cursor: straight-line code stays in one block for many
+// instructions, so warming touches the L1I once per block transition rather
+// than once per instruction (the resident-block set is identical, only
+// redundant LRU refreshes of the just-touched way are elided).
+type warmHier struct {
+	key      string
+	hier     *mem.Hierarchy
 	lastIBlk uint64
 	iblkMask uint64
 }
 
-// newWarmer builds the functional warming state for one machine: a fresh
-// hierarchy plus every trained front-end structure the machine actually has
-// (fragment predictor always; live-out predictor and trace cache when the
-// front-end uses them). The structures are returned to the caller through
-// the sim.Config seams.
-func newWarmer(rd *artifact.Reader, p *program.Program, m Machine) *warmer {
+// touch feeds one decoded chunk through the hierarchy in stream order.
+func (h *warmHier) touch(look []frag.Dyn, ea []uint64) {
+	for i := range look {
+		d := &look[i]
+		if blk := d.PC & h.iblkMask; blk != h.lastIBlk {
+			h.hier.L1I.Access(d.PC, false, 0)
+			h.lastIBlk = blk
+		}
+		if d.Inst.IsMem() {
+			h.hier.L1D.Access(ea[i], d.Inst.IsStore(), 0)
+		}
+	}
+}
+
+// warmLO / warmTC are distinct live-out predictor and trace cache instances
+// within an anchor group.
+type warmLO struct {
+	key string
+	lo  *rename.LiveOutPredictor
+}
+
+type warmTC struct {
+	size int
+	tc   *tcache.Cache
+}
+
+// warmAnchor is one true-path prediction loop, mirroring core.Stream: a
+// fragment predictor, the path history, and a head index into the warmer's
+// lookahead — plus the live-out predictors and trace caches trained from
+// its fetched-fragment sequence. Between training steps the stream's
+// speculative and retirement histories are equal (a correct fragment
+// pushes the same ID onto both; a divergence restores the speculative one
+// from the retirement one), so the loop keeps one history; warm states
+// still record it as both. Distinct predictor configs or fragment
+// heuristics produce distinct fetched sequences, hence distinct anchors.
+type warmAnchor struct {
+	key  string
+	pred *bpred.TracePredictor
+	hist bpred.History
+	heur frag.Heuristics
+	tab  *core.FragTable
+	los  []*warmLO
+	tcs  []*warmTC
+	head int
+}
+
+// warmMember is one distinct warm class of the warmer: the components its
+// snapshot is assembled from.
+type warmMember struct {
+	class  string
+	hier   *warmHier
+	anchor *warmAnchor
+	lo     *rename.LiveOutPredictor // nil: class has no live-out predictor
+	tc     *tcache.Cache            // nil: class has no trace cache
+}
+
+// newWarmer builds the functional warming state for a machine roster,
+// deduplicated into warm classes and shared components: a fresh hierarchy
+// per distinct memory config, one prediction loop per distinct (predictor,
+// heuristics) pair, and the live-out predictors and trace caches the
+// classes actually have. Component sharing is by configuration — each
+// component's training is independent of which classes reference it.
+// Anchors whose heuristics match tab build their fragments in it; others
+// get a table of their own. The first member's structures are the ones
+// config hands to a detailed window.
+func newWarmer(rd *artifact.Reader, p *program.Program, machines []Machine, tab *core.FragTable) *warmer {
 	w := &warmer{
 		rd:   rd,
-		hier: mem.NewHierarchy(m.memory),
-		pred: bpred.New(m.frontEnd.Predictor),
 		prog: p,
-		heur: m.frontEnd.FragHeuristics,
+		look: make([]frag.Dyn, 0, warmChunk+frag.AbsMaxLen),
+		ea:   make([]uint64, warmChunk+frag.AbsMaxLen),
 	}
-	if m.frontEnd.Rename == core.RenameParallel {
-		w.lo = rename.NewLiveOutPredictor(m.frontEnd.LiveOut)
+	classes := map[string]bool{}
+	for _, m := range machines {
+		class := warmClassHash(m)
+		if classes[class] {
+			continue
+		}
+		classes[class] = true
+
+		hkey := fmt.Sprintf("%+v", m.memory)
+		var h *warmHier
+		for _, c := range w.hiers {
+			if c.key == hkey {
+				h = c
+				break
+			}
+		}
+		if h == nil {
+			hier := mem.NewHierarchy(m.memory)
+			h = &warmHier{
+				key:      hkey,
+				hier:     hier,
+				iblkMask: ^uint64(hier.L1I.BlockBytes() - 1),
+				lastIBlk: ^uint64(0),
+			}
+			w.hiers = append(w.hiers, h)
+		}
+
+		heur := m.frontEnd.FragHeuristics
+		akey := fmt.Sprintf("%+v|%+v", m.frontEnd.Predictor, heur)
+		var a *warmAnchor
+		for _, c := range w.anchors {
+			if c.key == akey {
+				a = c
+				break
+			}
+		}
+		if a == nil {
+			a = &warmAnchor{key: akey, pred: bpred.New(m.frontEnd.Predictor), heur: heur}
+			for _, c := range w.anchors {
+				if c.heur == heur {
+					a.tab = c.tab
+				}
+			}
+			if a.tab == nil {
+				a.tab = tab
+				if tab == nil || !tab.For(p, heur) {
+					a.tab = core.NewFragTable(p, heur)
+				}
+			}
+			w.anchors = append(w.anchors, a)
+		}
+
+		mb := warmMember{class: class, hier: h, anchor: a}
+		if m.frontEnd.Rename == core.RenameParallel {
+			lkey := fmt.Sprintf("%+v", m.frontEnd.LiveOut)
+			var wl *warmLO
+			for _, c := range a.los {
+				if c.key == lkey {
+					wl = c
+					break
+				}
+			}
+			if wl == nil {
+				wl = &warmLO{key: lkey, lo: rename.NewLiveOutPredictor(m.frontEnd.LiveOut)}
+				a.los = append(a.los, wl)
+			}
+			mb.lo = wl.lo
+		}
+		if m.frontEnd.Fetch == core.FetchTraceCache {
+			var wt *warmTC
+			for _, c := range a.tcs {
+				if c.size == m.frontEnd.TraceCache {
+					wt = c
+					break
+				}
+			}
+			if wt == nil {
+				wt = &warmTC{size: m.frontEnd.TraceCache, tc: tcache.New(tcache.Config{SizeBytes: m.frontEnd.TraceCache, Ways: 2})}
+				a.tcs = append(a.tcs, wt)
+			}
+			mb.tc = wt.tc
+		}
+		w.members = append(w.members, mb)
 	}
-	if m.frontEnd.Fetch == core.FetchTraceCache {
-		w.tc = tcache.New(tcache.Config{SizeBytes: m.frontEnd.TraceCache, Ways: 2})
-	}
-	w.fragMemo = make(map[frag.ID]*frag.Fragment, 256)
-	w.loMemo = make(map[frag.ID]rename.LiveOuts, 256)
-	w.iblkMask = ^uint64(w.hier.L1I.BlockBytes() - 1)
-	w.lastIBlk = ^uint64(0)
 	return w
 }
 
-// config installs the warmed structures into a window's simulator config.
+// config installs the first member's warmed structures, and its fragment
+// table, into a window's simulator config.
 func (w *warmer) config(cfg *sim.Config) {
-	cfg.Hier = w.hier
-	cfg.Pred = w.pred
-	cfg.LiveOut = w.lo
-	cfg.TC = w.tc
+	mb := &w.members[0]
+	cfg.Hier = mb.hier.hier
+	cfg.Pred = mb.anchor.pred
+	cfg.LiveOut = mb.lo
+	cfg.TC = mb.tc
+	cfg.FragTable = mb.anchor.tab
+}
+
+// resetCacheStats clears the first member's cache statistics: each window's
+// miss rates describe its own detailed traffic, not the warming replay's.
+func (w *warmer) resetCacheStats() {
+	h := w.members[0].hier.hier
+	h.L1I.ResetStats()
+	h.L1D.ResetStats()
+	h.L2.ResetStats()
 }
 
 // warmTo replays the stream up to (but not including) sequence index upto,
-// leaving the reader exactly there (or at the halt point). Each instruction
-// touches the caches once, in stream order; complete fragments at the front
-// of the lookahead drive one training step each. A partial tail fragment at
-// the gap boundary is left for the detailed warmup to handle.
+// leaving the reader exactly there (or at the halt point). Each chunk
+// touches every hierarchy once per instruction, in stream order; then
+// every anchor trains on the fragments at the front of its lookahead. An
+// anchor trains only with at least frag.AbsMaxLen instructions ahead of
+// its head, so every split and match decision is content-determined —
+// independent of how the stream was cut into chunks. A partial tail
+// fragment at the gap boundary is left for the detailed warmup to handle.
 func (w *warmer) warmTo(upto uint64) error {
-	for {
-		for w.n < len(w.buf) && w.rd.Pos() < upto && !w.rd.Halted() {
-			d, err := w.rd.Step()
-			if err != nil {
-				return err
-			}
-			if blk := d.PC & w.iblkMask; blk != w.lastIBlk {
-				w.hier.L1I.Access(d.PC, false, 0)
-				w.lastIBlk = blk
-			}
-			if d.Inst.IsMem() {
-				w.hier.L1D.Access(d.EA, d.Inst.IsStore(), 0)
-			}
-			w.buf[w.n] = frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-			w.n++
+	for w.rd.Pos() < upto && !w.rd.Halted() {
+		w.compact()
+		have := len(w.look)
+		k := int(min(uint64(cap(w.look)-have), upto-w.rd.Pos()))
+		n, err := w.rd.Fill(w.look[have:have+k], w.ea[:k])
+		if err != nil {
+			return err
 		}
-		if w.n < frag.AbsMaxLen {
-			// The fill loop stopped with less than one guaranteed-complete
-			// fragment of lookahead, so the gap (or the program) is
-			// exhausted; the reader sits exactly at the boundary.
-			return nil
+		w.look = w.look[:have+n]
+		for _, h := range w.hiers {
+			h.touch(w.look[have:], w.ea[:n])
 		}
-		w.train()
+		for _, a := range w.anchors {
+			for len(w.look)-a.head >= frag.AbsMaxLen {
+				a.head += a.train(w.look[a.head:])
+			}
+		}
+	}
+	return nil
+}
+
+// compact drops the lookahead every anchor has trained past.
+func (w *warmer) compact() {
+	lo := len(w.look)
+	for _, a := range w.anchors {
+		lo = min(lo, a.head)
+	}
+	w.look = w.look[:copy(w.look, w.look[lo:])]
+	for _, a := range w.anchors {
+		a.head -= lo
 	}
 }
 
@@ -189,71 +351,54 @@ func (w *warmer) warmTo(upto uint64) error {
 // window consumed the stream between two warming phases): stitching
 // instructions from either side of the window into one fragment would train
 // the predictor on boundaries that never occur.
-func (w *warmer) resync() { w.n = 0 }
-
-// fragOf memoizes FromCode like core.Stream does.
-func (w *warmer) fragOf(id frag.ID) *frag.Fragment {
-	f, ok := w.fragMemo[id]
-	if !ok {
-		f = w.heur.FromCode(w.prog, id)
-		w.fragMemo[id] = f
+func (w *warmer) resync() {
+	w.look = w.look[:0]
+	for _, a := range w.anchors {
+		a.head = 0
 	}
-	return f
 }
 
 // train performs one iteration of the stream's true-path prediction loop
-// against the front of the lookahead: predict the next fragment from the
-// speculative history, materialize it, compare it against the true stream,
-// update the fragment predictor on the retirement history, and advance the
-// anchor — by the true fragment on a correct prediction, to the first
-// mismatched instruction on a divergence (the stream's redirect re-anchor,
-// which also restores the speculative history). The fetched fragment also
-// trains the live-out predictor and fills the trace cache, as renaming and
-// fetch would.
-func (w *warmer) train() {
-	trueLen, trueID := w.heur.Split(w.buf[:w.n])
+// against the front of the lookahead and returns how far the anchor
+// advances: predict the next fragment from the history and train the
+// predictor with the true one, materialize the predicted fragment, compare
+// it against the true stream, and advance the anchor — by the true fragment
+// on a correct prediction, to the first mismatched instruction on a
+// divergence (the stream's redirect re-anchor). Either way the history
+// takes the true fragment, as the stream's retirement history does. The
+// fetched fragment also trains the live-out predictors and fills the trace
+// caches, as renaming and fetch would.
+func (a *warmAnchor) train(look []frag.Dyn) int {
+	trueLen, trueID := a.heur.Split(look)
 	if trueLen <= 0 {
-		w.n = 0
-		return
+		return len(look)
 	}
-	pred := w.pred.Predict(&w.specHist)
-	id := frag.ID{StartPC: w.buf[0].PC}
-	if pred.Valid && pred.ID.StartPC == w.buf[0].PC {
+	pred := a.pred.PredictAndUpdate(&a.hist, trueID)
+	id := frag.ID{StartPC: look[0].PC}
+	if pred.Valid && pred.ID.StartPC == look[0].PC {
 		id = pred.ID
 	}
-	f := w.fragOf(id)
+	e := a.tab.Get(id)
+	f := e.Frag
 	m := 0
-	for ; m < f.Len() && m < w.n; m++ {
-		if w.buf[m].PC != f.PCs[m] {
+	for ; m < f.Len() && m < len(look); m++ {
+		if look[m].PC != f.PCs[m] {
 			break
 		}
 	}
-	w.pred.Update(&w.retireHist, trueID)
-	w.retireHist.Push(trueID.Key())
-	if w.lo != nil && f.Len() > 0 {
-		lo, ok := w.loMemo[f.ID]
-		if !ok {
-			lo = rename.ComputeLiveOuts(f.Insts)
-			w.loMemo[f.ID] = lo
+	a.pred.Push(&a.hist, trueID.Key())
+	if f.Len() > 0 {
+		for _, l := range a.los {
+			l.lo.Train(f.ID, e.Writes.LiveOuts)
 		}
-		w.lo.Train(f.ID, lo)
+		for _, t := range a.tcs {
+			t.tc.Fill(f)
+		}
 	}
-	if w.tc != nil && f.Len() > 0 {
-		w.tc.Fill(f)
-	}
-	adv := trueLen
 	if m == f.Len() && f.ID == trueID {
-		w.specHist.Push(f.ID.Key())
-	} else {
-		// Divergence: fetch resumes at the first mismatch and the
-		// speculative history is restored from the retirement checkpoint.
-		w.specHist = w.retireHist
-		if adv = m; adv <= 0 {
-			adv = 1 // cannot happen (the start PC is forced correct)
-		}
+		return trueLen
 	}
-	copy(w.buf[:], w.buf[adv:w.n])
-	w.n -= adv
+	return max(m, 1) // m > 0: the start PC is forced correct
 }
 
 // runSampled is the systematic-sampling run mode: detailed windows planned
@@ -276,13 +421,25 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 		return nil, fmt.Errorf("pfe: sampling plan is empty (measure %d, unit %d)", total, spec.Unit)
 	}
 
-	// One reader and one set of warmed structures (hierarchy, fragment
+	// One reader, one set of warmed structures (hierarchy, fragment
 	// predictor, live-out predictor, trace cache — whichever the machine
-	// has) live across the whole run: the reader alternates between feeding
-	// detailed windows and functionally warming the gaps, so the long-lived
-	// state carries the full stream history into every window.
+	// has) and one fragment table live across the whole run: the reader
+	// alternates between feeding detailed windows and functionally warming
+	// the gaps, so the long-lived state carries the full stream history
+	// into every window, and no window rebuilds a fragment the warmer or an
+	// earlier window already built.
 	rd := tape.NewReader()
-	wm := newWarmer(rd, p, m)
+	wm := newWarmer(rd, p, []Machine{m}, core.NewFragTable(p, m.frontEnd.FragHeuristics))
+	// warmed is the run's functional-warming host time, timed once per gap
+	// (the "warm" self-profile stage).
+	var warmed time.Duration
+	timeWarm := func(start time.Time) {
+		d := time.Since(start)
+		warmed += d
+		if opts.Obs != nil {
+			opts.Obs.Prof.AddTotal(obs.StageWarm, d)
+		}
+	}
 	parts := make([]*sim.Result, 0, len(windows))
 	ipcs := make([]float64, 0, len(windows))
 	cpis := make([]float64, 0, len(windows))
@@ -302,7 +459,9 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 		if boundary := absStart - warm; boundary > 0 {
 			gs := opts.Spans.Phase(opts.SpanParent, "gap-warm")
 			gs.Int("gap_insts", int64(boundary))
+			start := time.Now()
 			info, err := warmThrough(wm, pspec, m, boundary, opts)
+			timeWarm(start)
 			annotArtifact(gs, info)
 			gs.End()
 			if err != nil {
@@ -328,11 +487,13 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 			gap := int64(target - rd.Pos())
 			gs := opts.Spans.Phase(opts.SpanParent, "gap-warm")
 			gs.Int("gap_insts", gap)
-			if err := wm.warmTo(target); err != nil {
-				gs.End()
+			start := time.Now()
+			err := wm.warmTo(target)
+			timeWarm(start)
+			gs.End()
+			if err != nil {
 				return nil, err
 			}
-			gs.End()
 			gapInsts += gap
 		} else {
 			// The previous window's fetch-ahead overran this window's
@@ -342,11 +503,7 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 				return nil, err
 			}
 		}
-		// Each window's miss rates describe its own detailed traffic, not
-		// the warming replay's.
-		wm.hier.L1I.ResetStats()
-		wm.hier.L1D.ResetStats()
-		wm.hier.L2.ResetStats()
+		wm.resetCacheStats()
 		cfg := sim.Config{
 			FrontEnd:         m.frontEnd,
 			Backend:          m.backend,
@@ -381,6 +538,12 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	ipcMean := 1 / sum.Mean
 	scale := ipcMean * ipcMean // d(1/x)/dx magnitude at the mean
 	res := newResult(aggregateSim(parts))
+	if opts.SelfProfile {
+		if res.StageSeconds == nil {
+			res.StageSeconds = map[string]float64{}
+		}
+		res.StageSeconds[obs.StageWarm.String()] = warmed.Seconds()
+	}
 	res.IPC = ipcMean
 	res.SampledIPC = ipcMean
 	skipped := opts.WarmupInsts + total - detailed

@@ -3,6 +3,10 @@ package pfe
 import (
 	"math"
 	"testing"
+
+	"github.com/parallel-frontend/pfe/internal/artifact"
+	"github.com/parallel-frontend/pfe/internal/core"
+	"github.com/parallel-frontend/pfe/internal/program"
 )
 
 // TestSampledRun exercises the systematic-sampling mode end to end: the
@@ -92,6 +96,60 @@ func TestSampleSpecValidate(t *testing.T) {
 		opts.Sample = &spec
 		if _, err := Run("gcc", Preset(W16), opts); err == nil {
 			t.Errorf("Run accepted invalid sample spec %+v", spec)
+		}
+	}
+}
+
+// TestWarmGapZeroAlloc is the functional warmer's allocation guard: once the
+// run's fragment table holds a gap's fragments, warming the gap — batch
+// decode, cache touches, prediction loop, live-out and trace-cache training
+// — allocates nothing.
+func TestWarmGapZeroAlloc(t *testing.T) {
+	spec, err := program.SpecByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := program.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape, err := artifact.Record(p, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const from, to = 120_000, 150_000
+	for _, fe := range []FrontEnd{TC, PR2x8w} {
+		m := Preset(fe)
+		rd := tape.NewReader()
+		tab := core.NewFragTable(p, m.frontEnd.FragHeuristics)
+		wm := newWarmer(rd, p, []Machine{m}, tab)
+		gap := func() {
+			if err := rd.Seek(from); err != nil {
+				t.Fatal(err)
+			}
+			wm.resync()
+			if err := wm.warmTo(to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wm.warmTo(from); err != nil {
+			t.Fatal(err)
+		}
+		// The predictor's answers shift as it trains, so a replayed gap may
+		// still ask for a fragment no earlier pass did (building it is the
+		// table's one allocation): replay until a pass builds nothing.
+		for try := 0; ; try++ {
+			built := tab.Built()
+			allocs := testing.AllocsPerRun(1, gap)
+			if tab.Built() == built {
+				if allocs != 0 {
+					t.Errorf("%s: warming a gap allocated %.1f objects, want 0", fe, allocs)
+				}
+				break
+			}
+			if try == 50 {
+				t.Fatalf("%s: the fragment table still grows after %d replays of the gap", fe, try)
+			}
 		}
 	}
 }

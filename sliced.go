@@ -90,7 +90,7 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 			// untouched.
 			sw := ss.Child(span.KindPhase, "slice-warm")
 			sw.Int("warm_insts", sj-warm)
-			wm := newWarmer(rd, p, m)
+			wm := newWarmer(rd, p, []Machine{m}, nil)
 			// Through the warm-state artifact tier: a boundary another cell
 			// (or fleet worker) already reached restores at decode cost
 			// instead of replaying the whole prefix.
@@ -103,9 +103,7 @@ func runSliced(pspec program.Spec, p *program.Program, tape *artifact.Tape, m Ma
 				return
 			}
 			sw.End()
-			wm.hier.L1I.ResetStats()
-			wm.hier.L1D.ResetStats()
-			wm.hier.L2.ResetStats()
+			wm.resetCacheStats()
 			wm.config(&cfg)
 		}
 		if k == 1 {

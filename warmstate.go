@@ -11,13 +11,8 @@ import (
 	"sort"
 
 	"github.com/parallel-frontend/pfe/internal/artifact"
-	"github.com/parallel-frontend/pfe/internal/bpred"
 	"github.com/parallel-frontend/pfe/internal/core"
-	"github.com/parallel-frontend/pfe/internal/frag"
-	"github.com/parallel-frontend/pfe/internal/mem"
 	"github.com/parallel-frontend/pfe/internal/program"
-	"github.com/parallel-frontend/pfe/internal/rename"
-	"github.com/parallel-frontend/pfe/internal/tcache"
 )
 
 // Warm-state artifacts: the functionally warmed front-end state at a sampled
@@ -169,34 +164,35 @@ func warmPackSection(pack []byte, class string) ([]byte, error) {
 	return nil, fmt.Errorf("pfe: warm pack: no section for class %s", class)
 }
 
-// encodeWarmState serializes a warmer that has just finished warmTo: reader
-// position, the L1I block-elision cursor, both path histories, the
-// hierarchy, and the trained structures the machine has. The pending
-// lookahead is not serialized — every consumer resyncs (drops it) before
-// the next training step, so the post-restore state is exactly the
-// post-resync state. The payload is gzip-compressed: cold table regions are
-// long runs of zeros.
-func encodeWarmState(w *warmer) ([]byte, error) {
+// encodeWarmState serializes one warm class of a warmer that has just
+// finished warmTo: reader position, the L1I block-elision cursor, the path
+// history (twice: as the stream's speculative and retirement histories,
+// equal between fragments), the hierarchy, and the trained structures the
+// class has. The pending lookahead is not serialized — every consumer
+// resyncs (drops it) before the next training step, so the post-restore
+// state is exactly the post-resync state. The payload is gzip-compressed:
+// cold table regions are long runs of zeros.
+func encodeWarmState(w *warmer, mb *warmMember) ([]byte, error) {
 	raw := make([]byte, 0, 1<<20)
 	raw = binary.LittleEndian.AppendUint64(raw, w.rd.Pos())
-	raw = binary.LittleEndian.AppendUint64(raw, w.lastIBlk)
+	raw = binary.LittleEndian.AppendUint64(raw, mb.hier.lastIBlk)
 	var flags byte
-	if w.lo != nil {
+	if mb.lo != nil {
 		flags |= 1
 	}
-	if w.tc != nil {
+	if mb.tc != nil {
 		flags |= 2
 	}
 	raw = append(raw, flags)
-	raw = w.specHist.AppendState(raw)
-	raw = w.retireHist.AppendState(raw)
-	raw = w.hier.AppendState(raw)
-	raw = w.pred.AppendState(raw)
-	if w.lo != nil {
-		raw = w.lo.AppendState(raw)
+	raw = mb.anchor.hist.AppendState(raw)
+	raw = mb.anchor.hist.AppendState(raw)
+	raw = mb.hier.hier.AppendState(raw)
+	raw = mb.anchor.pred.AppendState(raw)
+	if mb.lo != nil {
+		raw = mb.lo.AppendState(raw)
 	}
-	if w.tc != nil {
-		raw = w.tc.AppendState(raw)
+	if mb.tc != nil {
+		raw = mb.tc.AppendState(raw)
 	}
 
 	var buf bytes.Buffer
@@ -215,11 +211,13 @@ func encodeWarmState(w *warmer) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeWarmState restores a snapshot into a freshly built warmer for the
-// same machine class and seeks its reader to the snapshot boundary. Any
-// mismatch (foreign flags, wrong table geometry, trailing bytes) is an
-// error — the caller quarantines the blob and warms the long way.
+// decodeWarmState restores a snapshot into a freshly built one-class warmer
+// for the same machine class and seeks its reader to the snapshot boundary.
+// Any mismatch (foreign flags, wrong table geometry, unequal histories,
+// trailing bytes) is an error — the caller quarantines the blob and warms
+// the long way.
 func decodeWarmState(w *warmer, data []byte) error {
+	mb := &w.members[0]
 	if len(data) < len(warmStateMagic)+1 || string(data[:len(warmStateMagic)]) != warmStateMagic {
 		return fmt.Errorf("pfe: warm state: bad magic")
 	}
@@ -243,29 +241,32 @@ func decodeWarmState(w *warmer, data []byte) error {
 	pos := binary.LittleEndian.Uint64(raw)
 	lastIBlk := binary.LittleEndian.Uint64(raw[8:])
 	flags := raw[16]
-	if (flags&1 != 0) != (w.lo != nil) || (flags&2 != 0) != (w.tc != nil) {
+	if (flags&1 != 0) != (mb.lo != nil) || (flags&2 != 0) != (mb.tc != nil) {
 		return fmt.Errorf("pfe: warm state: structure flags %#x do not match machine", flags)
 	}
 	b := raw[17:]
-	if b, err = w.specHist.LoadState(b); err != nil {
+	hist := b
+	if b, err = mb.anchor.hist.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.retireHist.LoadState(b); err != nil {
+	n := len(hist) - len(b)
+	if len(b) < n || !bytes.Equal(hist[:n], b[:n]) {
+		return fmt.Errorf("pfe: warm state: speculative and retirement histories differ")
+	}
+	b = b[n:]
+	if b, err = mb.hier.hier.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.hier.LoadState(b); err != nil {
+	if b, err = mb.anchor.pred.LoadState(b); err != nil {
 		return err
 	}
-	if b, err = w.pred.LoadState(b); err != nil {
-		return err
-	}
-	if w.lo != nil {
-		if b, err = w.lo.LoadState(b); err != nil {
+	if mb.lo != nil {
+		if b, err = mb.lo.LoadState(b); err != nil {
 			return err
 		}
 	}
-	if w.tc != nil {
-		if b, err = w.tc.LoadState(b, w.fragOf); err != nil {
+	if mb.tc != nil {
+		if b, err = mb.tc.LoadState(b, mb.anchor.tab.Frag); err != nil {
 			return err
 		}
 	}
@@ -275,8 +276,8 @@ func decodeWarmState(w *warmer, data []byte) error {
 	if err := w.rd.Seek(pos); err != nil {
 		return err
 	}
-	w.lastIBlk = lastIBlk
-	w.n = 0
+	mb.hier.lastIBlk = lastIBlk
+	w.resync()
 	return nil
 }
 
@@ -294,273 +295,8 @@ func decodeWarmState(w *warmer, data []byte) error {
 // anchor group, feed every distinct hierarchy, and fill every distinct
 // live-out predictor and trace cache — and each class's snapshot assembled
 // from those components is bit-for-bit the snapshot a solo warm of that
-// class would have produced (TestWarmSet pins this).
-
-// warmHier is one distinct memory hierarchy under training, with its own
-// L1I block-elision cursor.
-type warmHier struct {
-	key      string
-	hier     *mem.Hierarchy
-	lastIBlk uint64
-	iblkMask uint64
-}
-
-// warmLO / warmTC are distinct live-out predictor and trace cache instances
-// within an anchor group.
-type warmLO struct {
-	key string
-	lo  *rename.LiveOutPredictor
-}
-
-type warmTC struct {
-	size int
-	tc   *tcache.Cache
-}
-
-// warmAnchor is one true-path prediction loop: fragment predictor, both
-// path histories, and the lookahead, exactly as in warmer — plus the
-// live-out predictors and trace caches trained from its fetched-fragment
-// sequence. Distinct predictor configs or fragment heuristics produce
-// distinct fetched sequences, hence distinct anchors.
-type warmAnchor struct {
-	key        string
-	pred       *bpred.TracePredictor
-	specHist   bpred.History
-	retireHist bpred.History
-	heur       frag.Heuristics
-	prog       *program.Program
-	fragMemo   map[frag.ID]*frag.Fragment
-	loMemo     map[frag.ID]rename.LiveOuts
-	los        []*warmLO
-	tcs        []*warmTC
-	buf        [2 * frag.AbsMaxLen]frag.Dyn
-	n          int
-}
-
-func (a *warmAnchor) fragOf(id frag.ID) *frag.Fragment {
-	f, ok := a.fragMemo[id]
-	if !ok {
-		f = a.heur.FromCode(a.prog, id)
-		a.fragMemo[id] = f
-	}
-	return f
-}
-
-// train is warmer.train over the anchor's shared loop state, fanned out to
-// every attached live-out predictor and trace cache. The control flow must
-// stay identical to warmer.train — any divergence breaks the bit-identity
-// of union-built snapshots.
-func (a *warmAnchor) train() {
-	trueLen, trueID := a.heur.Split(a.buf[:a.n])
-	if trueLen <= 0 {
-		a.n = 0
-		return
-	}
-	pred := a.pred.Predict(&a.specHist)
-	id := frag.ID{StartPC: a.buf[0].PC}
-	if pred.Valid && pred.ID.StartPC == a.buf[0].PC {
-		id = pred.ID
-	}
-	f := a.fragOf(id)
-	m := 0
-	for ; m < f.Len() && m < a.n; m++ {
-		if a.buf[m].PC != f.PCs[m] {
-			break
-		}
-	}
-	a.pred.Update(&a.retireHist, trueID)
-	a.retireHist.Push(trueID.Key())
-	if len(a.los) > 0 && f.Len() > 0 {
-		lo, ok := a.loMemo[f.ID]
-		if !ok {
-			lo = rename.ComputeLiveOuts(f.Insts)
-			a.loMemo[f.ID] = lo
-		}
-		for _, l := range a.los {
-			l.lo.Train(f.ID, lo)
-		}
-	}
-	if f.Len() > 0 {
-		for _, t := range a.tcs {
-			t.tc.Fill(f)
-		}
-	}
-	adv := trueLen
-	if m == f.Len() && f.ID == trueID {
-		a.specHist.Push(f.ID.Key())
-	} else {
-		a.specHist = a.retireHist
-		if adv = m; adv <= 0 {
-			adv = 1
-		}
-	}
-	copy(a.buf[:], a.buf[adv:a.n])
-	a.n -= adv
-}
-
-// warmMember is one distinct warm class of the set: the components its
-// snapshot is assembled from.
-type warmMember struct {
-	m      Machine
-	class  string
-	hier   *warmHier
-	anchor *warmAnchor
-	lo     *rename.LiveOutPredictor // nil: class has no live-out predictor
-	tc     *tcache.Cache            // nil: class has no trace cache
-}
-
-// warmSet trains every distinct warm class of a machine roster in one
-// replay of the shared stream.
-type warmSet struct {
-	rd      *artifact.Reader
-	hiers   []*warmHier
-	anchors []*warmAnchor
-	members []warmMember
-}
-
-// newWarmSet deduplicates machines into warm classes and shared components.
-// Component sharing is by configuration: two classes with the same memory
-// hierarchy config train one hierarchy, two with the same (predictor,
-// heuristics) share one prediction loop, and so on — each component's
-// training is independent of which classes reference it.
-func newWarmSet(rd *artifact.Reader, p *program.Program, machines []Machine) *warmSet {
-	s := &warmSet{rd: rd}
-	classes := map[string]bool{}
-	for _, m := range machines {
-		class := warmClassHash(m)
-		if classes[class] {
-			continue
-		}
-		classes[class] = true
-
-		hkey := fmt.Sprintf("%+v", m.memory)
-		var h *warmHier
-		for _, c := range s.hiers {
-			if c.key == hkey {
-				h = c
-				break
-			}
-		}
-		if h == nil {
-			hier := mem.NewHierarchy(m.memory)
-			h = &warmHier{
-				key:      hkey,
-				hier:     hier,
-				iblkMask: ^uint64(hier.L1I.BlockBytes() - 1),
-				lastIBlk: ^uint64(0),
-			}
-			s.hiers = append(s.hiers, h)
-		}
-
-		akey := fmt.Sprintf("%+v|%+v", m.frontEnd.Predictor, m.frontEnd.FragHeuristics)
-		var a *warmAnchor
-		for _, c := range s.anchors {
-			if c.key == akey {
-				a = c
-				break
-			}
-		}
-		if a == nil {
-			a = &warmAnchor{
-				key:      akey,
-				pred:     bpred.New(m.frontEnd.Predictor),
-				heur:     m.frontEnd.FragHeuristics,
-				prog:     p,
-				fragMemo: make(map[frag.ID]*frag.Fragment, 256),
-				loMemo:   make(map[frag.ID]rename.LiveOuts, 256),
-			}
-			s.anchors = append(s.anchors, a)
-		}
-
-		mb := warmMember{m: m, class: class, hier: h, anchor: a}
-		if m.frontEnd.Rename == core.RenameParallel {
-			lkey := fmt.Sprintf("%+v", m.frontEnd.LiveOut)
-			var wl *warmLO
-			for _, c := range a.los {
-				if c.key == lkey {
-					wl = c
-					break
-				}
-			}
-			if wl == nil {
-				wl = &warmLO{key: lkey, lo: rename.NewLiveOutPredictor(m.frontEnd.LiveOut)}
-				a.los = append(a.los, wl)
-			}
-			mb.lo = wl.lo
-		}
-		if m.frontEnd.Fetch == core.FetchTraceCache {
-			var wt *warmTC
-			for _, c := range a.tcs {
-				if c.size == m.frontEnd.TraceCache {
-					wt = c
-					break
-				}
-			}
-			if wt == nil {
-				wt = &warmTC{size: m.frontEnd.TraceCache, tc: tcache.New(tcache.Config{SizeBytes: m.frontEnd.TraceCache, Ways: 2})}
-				a.tcs = append(a.tcs, wt)
-			}
-			mb.tc = wt.tc
-		}
-		s.members = append(s.members, mb)
-	}
-	return s
-}
-
-// warmTo replays the stream up to (but not including) sequence index upto,
-// feeding every hierarchy and anchor group. Training only ever happens with
-// at least frag.AbsMaxLen of lookahead, so every split and match decision is
-// content-determined — the same decisions warmer.warmTo makes, whatever the
-// interleaving of fills and trains.
-func (s *warmSet) warmTo(upto uint64) error {
-	for s.rd.Pos() < upto && !s.rd.Halted() {
-		for _, a := range s.anchors {
-			if a.n == len(a.buf) {
-				a.train()
-			}
-		}
-		d, err := s.rd.Step()
-		if err != nil {
-			return err
-		}
-		for _, h := range s.hiers {
-			if blk := d.PC & h.iblkMask; blk != h.lastIBlk {
-				h.hier.L1I.Access(d.PC, false, 0)
-				h.lastIBlk = blk
-			}
-			if d.Inst.IsMem() {
-				h.hier.L1D.Access(d.EA, d.Inst.IsStore(), 0)
-			}
-		}
-		dyn := frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}
-		for _, a := range s.anchors {
-			a.buf[a.n] = dyn
-			a.n++
-		}
-	}
-	for _, a := range s.anchors {
-		for a.n >= frag.AbsMaxLen {
-			a.train()
-		}
-	}
-	return nil
-}
-
-// snapshot encodes one member's warm state from the set's components, via a
-// facade warmer — the exact encoding a solo warm would have produced.
-func (s *warmSet) snapshot(mb *warmMember) ([]byte, error) {
-	fw := &warmer{
-		rd:         s.rd,
-		hier:       mb.hier.hier,
-		pred:       mb.anchor.pred,
-		lo:         mb.lo,
-		tc:         mb.tc,
-		specHist:   mb.anchor.specHist,
-		retireHist: mb.anchor.retireHist,
-		lastIBlk:   mb.hier.lastIBlk,
-	}
-	return encodeWarmState(fw)
-}
+// class would have produced (TestWarmStateUnionWarming pins this). A
+// roster warmer is the same warmer as a run's own, with more members.
 
 // warmThrough advances a fresh warmer to boundary, through the warm-state
 // artifact tier when one is attached: the first cell of a sweep to reach a
@@ -575,28 +311,24 @@ func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts
 		return artifact.Info{}, wm.warmTo(boundary)
 	}
 	machines := append([]Machine{m}, opts.WarmRoster...)
+	classes := warmClasses(machines)
+	tab := wm.members[0].anchor.tab
 	built := false
-	data, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, warmClasses(machines), boundary), func() ([]byte, error) {
-		// This cell runs the build (union warming over the roster).
-		set := newWarmSet(wm.rd, wm.prog, machines)
-		if len(set.members) == 1 {
-			if err := wm.warmTo(boundary); err != nil {
-				return nil, err
-			}
-			built = true
-			b, err := encodeWarmState(wm)
-			if err != nil {
-				return nil, err
-			}
-			return encodeWarmPack([]packSection{{class: set.members[0].class, data: b}}), nil
+	data, info, err := opts.Artifacts.WarmStateInfo(warmPackKey(spec, classes, boundary), func() ([]byte, error) {
+		// This cell runs the build: union warming over the roster, or —
+		// when the roster is one class — its own warmer directly.
+		set := wm
+		if len(classes) > 1 {
+			set = newWarmer(wm.rd, wm.prog, machines, tab)
 		}
 		if err := set.warmTo(boundary); err != nil {
 			return nil, err
 		}
+		built = set == wm
 		sections := make([]packSection, 0, len(set.members))
 		for i := range set.members {
 			mb := &set.members[i]
-			b, err := set.snapshot(mb)
+			b, err := encodeWarmState(set, mb)
 			if err != nil {
 				return nil, err
 			}
@@ -621,7 +353,7 @@ func warmThrough(wm *warmer, spec program.Spec, m Machine, boundary uint64, opts
 		if err := wm.rd.Seek(0); err != nil {
 			return artifact.Info{Key: info.Key, Source: "quarantined"}, err
 		}
-		*wm = *newWarmer(wm.rd, wm.prog, m)
+		*wm = *newWarmer(wm.rd, wm.prog, []Machine{m}, tab)
 		return artifact.Info{Key: info.Key, Source: "quarantined"}, wm.warmTo(boundary)
 	}
 	return info, nil
