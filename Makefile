@@ -154,6 +154,7 @@ race:
 # up to 60s per newly-interesting input and makes short budgets useless.
 fuzz:
 	$(GO) test ./internal/emu/ -run='^$$' -fuzz=FuzzEmuVsInterp -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
+	$(GO) test ./internal/emu/ -run='^$$' -fuzz=FuzzFillMatchesStep -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/program/ -run='^$$' -fuzz=FuzzProgramAsm -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/sim/ -run='^$$' -fuzz=FuzzFrontEndsAgree -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
 	$(GO) test ./internal/backend/ -run='^$$' -fuzz=FuzzBackendAgainstReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x
@@ -164,7 +165,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # bench-stat emits benchstat-ready samples of the hot-path suite (ns/op,
-# allocs/op, ns/sim-cycle per front-end config). Record before and after a
+# allocs/op, ns/sim-cycle per front-end config) and of tape recording
+# (ns/inst to record and encode the suite at fig8-sampled's tape length). Record before and after a
 # perf change, then `benchstat old.txt new.txt`:
 #
 #   make bench-stat > old.txt
@@ -173,6 +175,7 @@ bench:
 BENCH_COUNT ?= 10
 bench-stat:
 	$(GO) test ./internal/sim -run='^$$' -bench BenchmarkHotSim -benchmem -count=$(BENCH_COUNT)
+	$(GO) test ./internal/artifact -run='^$$' -bench BenchmarkRecordTape -benchtime=1x -count=$(BENCH_COUNT)
 
 # bench-json records a provenance-stamped machine-readable report for the
 # current commit. It builds a real binary first: `go build` embeds the VCS

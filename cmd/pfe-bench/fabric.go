@@ -322,6 +322,12 @@ func runWorker(ctx context.Context, fab fabricFlags, base experiments.Options, r
 		fmt.Fprintf(os.Stderr, "worker %s: injected kill, exiting\n", id)
 		os.Exit(1)
 	}
+	runner.OnHold = func() {
+		// The hold drill: keep the lease (heartbeats go on) and never
+		// finish the cell; whoever injected it kills this process.
+		fmt.Fprintf(os.Stderr, "worker %s: injected hold, blocking until killed\n", id)
+		select {}
+	}
 	w.Run = runner.Run
 	w.MaxLeases = fab.LeaseBatch
 	if fab.Prefetch {

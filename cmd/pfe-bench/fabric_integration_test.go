@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	pfe "github.com/parallel-frontend/pfe"
 	"github.com/parallel-frontend/pfe/internal/obs"
 )
 
@@ -130,11 +131,18 @@ func TestFabricKillWorkerRecoversBitIdentical(t *testing.T) {
 		t.Fatalf("coordinator never announced its listener:\n%s", coordLog.String())
 	}
 
-	// Two workers; the victim announces each lease on stderr, and is
-	// SIGKILLed as soon as it holds one.
-	// Workers run uncached too, so a leased cell takes real wall time and the
-	// SIGKILL lands while the victim still holds its lease.
-	victim := exec.Command(pb, "-worker", baseURL, "-worker-id", "victim", "-no-artifact-cache")
+	// Two workers. The victim holds every cell it leases (-inject hold:
+	// the cell blocks, heartbeats go on) and announces the hold on stderr;
+	// it is SIGKILLed as soon as it does, so the kill always lands while it
+	// holds a lease, however fast the cell would have run.
+	var holds []string
+	for _, b := range []string{"gzip", "mcf", "gcc", "twolf"} { // benchArgs' grid
+		for _, fe := range []pfe.FrontEnd{pfe.W16, pfe.TC, pfe.TC2x, pfe.PF2x8w, pfe.PF4x4w} { // fig4's
+			holds = append(holds, b+"/"+string(fe)+"=hold")
+		}
+	}
+	victim := exec.Command(pb, "-worker", baseURL, "-worker-id", "victim", "-no-artifact-cache",
+		"-inject", strings.Join(holds, ","))
 	victimErr, err := victim.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +151,12 @@ func TestFabricKillWorkerRecoversBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer victim.Process.Kill()
-	leased := make(chan struct{})
+	held := make(chan struct{})
 	go func() {
 		sc := bufio.NewScanner(victimErr)
 		for sc.Scan() {
-			if strings.Contains(sc.Text(), "leased") {
-				close(leased)
+			if strings.Contains(sc.Text(), "injected hold") {
+				close(held)
 				return
 			}
 		}
@@ -163,12 +171,12 @@ func TestFabricKillWorkerRecoversBitIdentical(t *testing.T) {
 	defer survivor.Process.Kill()
 
 	select {
-	case <-leased:
+	case <-held:
 		if err := victim.Process.Signal(syscall.SIGKILL); err != nil {
 			t.Fatalf("killing victim: %v", err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("victim worker never obtained a lease")
+		t.Fatal("victim worker never held a lease")
 	}
 	victim.Wait()
 

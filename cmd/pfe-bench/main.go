@@ -87,7 +87,7 @@ func run() int {
 		dumpDir     = flag.String("dump-dir", "", "directory for watchdog stall diagnostics (default: OS temp dir)")
 		stallCycles = flag.Uint64("stall-cycles", 0, "watchdog threshold: fail a simulation after this many cycles without a commit (0 = simulator default)")
 		flightRec   = flag.Int("flight-recorder", 0, "keep the last N pipeline events per simulation for stall diagnostics (0 = off)")
-		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode (mode panic|error|stall|kill[:n]) and net/endpoint=kind[:n] network chaos rules (testing the harness itself)")
+		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode (mode panic|error|stall|hold|kill[:n]) and net/endpoint=kind[:n] network chaos rules (testing the harness itself)")
 
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB (shared program images, oracle tapes, memoized cell results; LRU past the cap; 0 = unbounded)")
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")

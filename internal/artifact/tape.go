@@ -9,6 +9,7 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/emu"
@@ -78,53 +79,159 @@ type Tape struct {
 	sink          *atomic.Int64
 }
 
+// recBatch is how many instructions one batch of the recording pipeline
+// carries. It is one index stride, so every batch but a recording's last
+// is full and the only seek point a batch can hold is its first
+// instruction's.
+const recBatch = IndexStride
+
+// recRing is how many batches circulate between Record's two stages.
+const recRing = 4
+
+// recordBatch is one unit of work between the emulator and the encoder.
+type recordBatch struct {
+	dyn  [recBatch]frag.Dyn
+	ea   [recBatch]uint64
+	n    int
+	next uint64 // the emulator's PC after the batch
+	err  error  // the emulator's error after the n valid instructions
+}
+
 // Record executes p on a fresh emulator for up to maxInsts instructions (or
 // until halt) and returns the recording.
+//
+// Recording is a two-stage pipeline: a goroutine emulates into a fixed ring
+// of batches while the caller's goroutine encodes each filled batch (taken
+// bits, aux varints, seek index) and hands it back. Emulation is serial by
+// nature; the pipeline takes the encoding off its path. The goroutine has
+// ended by the time Record returns, on an error or a panic too.
 func Record(p *program.Program, maxInsts uint64) (*Tape, error) {
-	t := &Tape{prog: p, startPC: p.EntryPC}
+	// A batch is always in exactly one place — free, being filled, full or
+	// being encoded — so channels the size of the ring never block a send.
+	ring := make([]recordBatch, recRing)
+	free := make(chan *recordBatch, recRing)
+	full := make(chan *recordBatch, recRing)
+	for i := range ring {
+		free <- &ring[i]
+	}
 	m := emu.New(p)
-	var bitBuf byte
-	var bitN uint
-	var bits uint64 // total taken bits recorded
-	var prevEA uint64
-	var buf [binary.MaxVarintLen64]byte
-	for t.count < maxInsts && !m.Halted() {
-		if t.count%IndexStride == 0 {
-			t.index = append(t.index, seekPoint{
-				pc: m.PC(), bitPos: bits, auxOff: len(t.aux), prevEA: prevEA,
-			})
-		}
-		d, err := m.Step()
-		if err != nil {
-			return nil, fmt.Errorf("artifact: recording %s: %w", p.Name, err)
-		}
-		in := d.Inst
-		switch {
-		case in.IsCondBranch():
-			if d.Taken {
-				bitBuf |= 1 << bitN
+	// An emulator panic is handed to the caller's goroutine and raised
+	// there, as when the caller emulated itself, so callers that recover
+	// (the sweep's per-cell isolation) still can.
+	var panicked any
+	go func() {
+		defer close(full)
+		defer func() { panicked = recover() }()
+		for left := maxInsts; left > 0 && !m.Halted(); {
+			b := <-free
+			b.n, b.err = m.Fill(b.dyn[:min(left, recBatch)], b.ea[:])
+			b.next = m.PC()
+			left -= uint64(b.n)
+			full <- b
+			if b.err != nil {
+				return
 			}
-			bits++
-			if bitN++; bitN == 8 {
-				t.taken = append(t.taken, bitBuf)
-				bitBuf, bitN = 0, 0
-			}
-		case in.IsIndirect():
-			n := binary.PutUvarint(buf[:], d.NextPC)
-			t.aux = append(t.aux, buf[:n]...)
-		case in.IsMem():
-			n := binary.PutVarint(buf[:], int64(d.EA)-int64(prevEA))
-			t.aux = append(t.aux, buf[:n]...)
-			prevEA = d.EA
 		}
-		t.count++
+	}()
+
+	t := &Tape{prog: p, startPC: p.EntryPC}
+	var enc tapeEncoder
+	var err error
+	for b := range full {
+		if err == nil {
+			enc.add(t, b.dyn[:b.n], b.ea[:b.n], b.next)
+			err = b.err
+		}
+		free <- b
 	}
-	if bitN > 0 {
-		t.taken = append(t.taken, bitBuf)
+	if panicked != nil {
+		panic(panicked)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("artifact: recording %s: %w", p.Name, err)
+	}
+	enc.flush(t)
 	t.halted = m.Halted()
 	return t, nil
 }
+
+// tapeEncoder is Record's encoding stage: the recording cursor between
+// batches.
+type tapeEncoder struct {
+	bits   uint64 // taken bits recorded
+	word   uint64 // taken bits not yet written, the oldest in bit 0
+	prevEA uint64
+}
+
+// add appends one batch of the dynamic stream to t. next is the PC after
+// the batch's last instruction, the target of an indirect jump there.
+func (e *tapeEncoder) add(t *Tape, dyn []frag.Dyn, ea []uint64, next uint64) {
+	if len(dyn) == 0 {
+		return
+	}
+	ea = ea[:len(dyn)]
+	if t.count%IndexStride == 0 {
+		t.index = append(t.index, seekPoint{
+			pc: dyn[0].PC, bitPos: e.bits, auxOff: len(t.aux), prevEA: e.prevEA,
+		})
+	}
+	// One varint per instruction at most: reserve the batch's worst case
+	// once and write in place.
+	aux := slices.Grow(t.aux, len(dyn)*binary.MaxVarintLen64)
+	for i := range dyn {
+		switch in := dyn[i].Inst; tapeKinds[in.Op] {
+		case tapeBit:
+			if dyn[i].Taken {
+				e.word |= 1 << (e.bits & 63)
+			}
+			if e.bits++; e.bits&63 == 0 {
+				t.taken = binary.LittleEndian.AppendUint64(t.taken, e.word)
+				e.word = 0
+			}
+		case tapeTarget:
+			target := next
+			if i+1 < len(dyn) {
+				target = dyn[i+1].PC
+			}
+			aux = binary.AppendUvarint(aux, target)
+		case tapeEA:
+			aux = binary.AppendVarint(aux, int64(ea[i])-int64(e.prevEA))
+			e.prevEA = ea[i]
+		}
+	}
+	t.aux = aux
+	t.count += uint64(len(dyn))
+}
+
+// flush writes the last, partial word of taken bits, byte by byte.
+func (e *tapeEncoder) flush(t *Tape) {
+	for b := e.bits & 63; b > 0; b -= min(b, 8) {
+		t.taken = append(t.taken, byte(e.word))
+		e.word >>= 8
+	}
+}
+
+// What a tape stores for an instruction, by opcode.
+const (
+	tapeNothing = iota // replays from the code image alone
+	tapeBit            // a conditional branch: one taken bit
+	tapeTarget         // an indirect jump: its target PC, a uvarint
+	tapeEA             // a memory op: its EA delta, a zigzag varint
+)
+
+var tapeKinds = func() (k [256]uint8) {
+	for op := range isa.NumOps {
+		switch in := (isa.Inst{Op: isa.Op(op)}); {
+		case in.IsCondBranch():
+			k[op] = tapeBit
+		case in.IsIndirect():
+			k[op] = tapeTarget
+		case in.IsMem():
+			k[op] = tapeEA
+		}
+	}
+	return k
+}()
 
 // Len returns the number of recorded instructions.
 func (t *Tape) Len() uint64 { return t.count }

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -65,30 +68,64 @@ func EncodeTape(t *Tape) []byte {
 	// The index section stays raw so seeks never pay an inflate.
 	compressible := [tapeNumSecs]bool{true, true, false}
 
-	var tables [tapeNumSecs][]tapeBlock
-	var payload bytes.Buffer
+	// Cut every section into blocks, compress the compressible ones in
+	// parallel, then lay the blocks out in order: the bytes are the same
+	// as a serial encoder's.
+	type block struct {
+		sec    int
+		raw    []byte
+		stored []byte
+	}
+	var blocks []block
 	for s, sec := range secs {
 		for off := 0; off < len(sec) || (off == 0 && len(sec) == 0); off += tapeBlockSize {
-			end := off + tapeBlockSize
-			if end > len(sec) {
-				end = len(sec)
-			}
-			raw := sec[off:end]
-			b := tapeBlock{enc: 0, rawLen: uint32(len(raw))}
-			stored := raw
-			if compressible[s] && len(raw) > 0 {
-				if z := deflate(raw); len(z) < len(raw) {
-					b.enc, stored = 1, z
-				}
-			}
-			b.storedLen = uint32(len(stored))
-			b.crc = crc32.ChecksumIEEE(stored)
-			tables[s] = append(tables[s], b)
-			payload.Write(stored)
+			blocks = append(blocks, block{sec: s, raw: sec[off:min(off+tapeBlockSize, len(sec))]})
 			if len(sec) == 0 {
 				break // empty section still gets one empty block
 			}
 		}
+	}
+	var next atomic.Int64
+	compress := func() {
+		var w *flate.Writer
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(blocks) {
+				return
+			}
+			b := &blocks[i]
+			b.stored = b.raw
+			if !compressible[b.sec] || len(b.raw) == 0 {
+				continue
+			}
+			if w == nil {
+				w, _ = flate.NewWriter(nil, flate.BestSpeed) // fails only on a bad level
+			}
+			if z := deflate(w, b.raw); z != nil && len(z) < len(b.raw) {
+				b.stored = z
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(blocks)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			compress()
+		}()
+	}
+	compress()
+	wg.Wait()
+
+	var tables [tapeNumSecs][]tapeBlock
+	var payload bytes.Buffer
+	for _, b := range blocks {
+		tb := tapeBlock{rawLen: uint32(len(b.raw)), storedLen: uint32(len(b.stored)), crc: crc32.ChecksumIEEE(b.stored)}
+		if len(b.stored) != len(b.raw) {
+			tb.enc = 1
+		}
+		tables[b.sec] = append(tables[b.sec], tb)
+		payload.Write(b.stored)
 	}
 
 	var out bytes.Buffer
@@ -129,14 +166,13 @@ func le64(w *bytes.Buffer, v uint64) {
 	w.Write(b[:])
 }
 
-// deflate compresses b at the speed-biased level (tapes are written once and
-// read many times, but puts sit on the first run's critical path).
-func deflate(b []byte) []byte {
+// deflate compresses b through w, reset for it. Tapes use the
+// speed-biased level: they are written once and read many times, but puts
+// sit on the first run's critical path. It returns nil if compression
+// fails.
+func deflate(w *flate.Writer, b []byte) []byte {
 	var z bytes.Buffer
-	w, err := flate.NewWriter(&z, flate.BestSpeed)
-	if err != nil {
-		return nil
-	}
+	w.Reset(&z)
 	if _, err := w.Write(b); err != nil {
 		return nil
 	}

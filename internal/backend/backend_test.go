@@ -356,9 +356,18 @@ type diffHarness struct {
 	rb      *refBackend
 	ncommit []uint64
 
-	ops     []*diffOp   // every op generated, by seq
+	ops     []*diffOp   // every op generated, by seq (nil once recycled)
 	pending [][]*diffOp // fragments (seq-ordered runs) not yet in the window
 	nextSeq uint64
+
+	// free holds the ops that left the window for good (committed, or
+	// squashed and dropped), oldest first. Once more than recycleDepth
+	// wait, genFragment zeroes the oldest in place and reuses it under a
+	// new seq, as Stream.materialize recycles its ops, so state the
+	// back-end keeps on or about an op past its departure shows up as a
+	// divergence.
+	free         []*Op
+	recycleDepth int
 }
 
 func newDiffHarness(t *testing.T, seed int64, shape uint32) *diffHarness {
@@ -367,13 +376,17 @@ func newDiffHarness(t *testing.T, seed int64, shape uint32) *diffHarness {
 	h.pOutOfOrder, h.pMark, h.pSquash = odds(0), odds(4)/4, odds(8)/6
 	h.pReinsert, h.pBarrier, h.pIgnoreRes = odds(12), odds(16), odds(20)
 	h.pStall = int(shape>>25&0x7) * 20
+	h.recycleDepth = int(shape >> 28)
 	cfg := DefaultConfig()
 	if shape>>24&1 != 0 {
 		cfg.WindowSize = 32 // a small window keeps FreeSlots binding
 	}
 	h.nb = New(cfg, mem.NewHierarchy(mem.DefaultHierarchyConfig()).L1D)
 	h.rb = newRefBackend(cfg, mem.NewHierarchy(mem.DefaultHierarchyConfig()).L1D)
-	h.nb.CommitHook = func(op *Op) { h.ncommit = append(h.ncommit, op.Seq) }
+	h.nb.CommitHook = func(op *Op) {
+		h.ncommit = append(h.ncommit, op.Seq)
+		h.free = append(h.free, op)
+	}
 	return h
 }
 
@@ -398,7 +411,8 @@ func (h *diffHarness) genFragment() {
 	for i := range frag {
 		seq := h.nextSeq
 		h.nextSeq++
-		n := &Op{Seq: seq, Inst: diffInsts[h.rng.Intn(len(diffInsts))]}
+		n := h.newOp()
+		n.Seq, n.Inst = seq, diffInsts[h.rng.Intn(len(diffInsts))]
 		n.WrongPath = h.chance(100)
 		if h.chance(500) {
 			n.EA = 0x100000 + uint64(h.rng.Intn(16))*64 // a few hot lines
@@ -422,6 +436,20 @@ func (h *diffHarness) genFragment() {
 		frag[i] = d
 	}
 	h.pending = append(h.pending, frag)
+}
+
+// newOp returns a zeroed op: the oldest departed one once enough have
+// departed, otherwise a fresh one. A recycled op's old identity is gone
+// from h.ops, so no later event reaches it under its old seq.
+func (h *diffHarness) newOp() *Op {
+	if len(h.free) <= h.recycleDepth {
+		return &Op{}
+	}
+	op := h.free[0]
+	h.free = h.free[1:]
+	h.ops[op.Seq] = nil
+	*op = Op{}
+	return op
 }
 
 // insertSome delivers a few ops from one pending fragment (the oldest, or
@@ -475,7 +503,13 @@ func (h *diffHarness) squash(seq uint64) {
 	if nn != rn {
 		h.t.Fatalf("SquashFrom(%d) removed %d ops, reference %d", seq, nn, rn)
 	}
-	if len(gone) == 0 || !h.chance(h.pReinsert) {
+	if len(gone) == 0 {
+		return
+	}
+	if !h.chance(h.pReinsert) {
+		for _, d := range gone {
+			h.free = append(h.free, d.n)
+		}
 		return
 	}
 	for _, d := range gone {
@@ -580,8 +614,9 @@ func (h *diffHarness) run(cycles uint64) {
 // out-of-order fragment inserts, squashes with re-insertion after
 // ResetExec, mispredict flags set before and after insert (including on
 // ops that already left the window), commit barriers and front-end stalls
-// (cycles with no inserts) — and requires
-// identical per-cycle issue sets, done cycles, resolutions and commits.
+// (cycles with no inserts), with departed ops recycled in place under new
+// seqs as the stream recycles them — and requires identical per-cycle issue
+// sets, done cycles, resolutions and commits.
 func FuzzBackendAgainstReference(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint32(0x0555555))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -130,4 +131,35 @@ func TestSuitePrograms(t *testing.T) {
 				spec.Name, p.NumInsts(), float64(p.CodeBytes())/1024)
 		})
 	}
+}
+
+// BenchmarkEmu measures live emulation per instruction on gcc, one Step at
+// a time and in Fill batches of the tape recorder's size.
+func BenchmarkEmu(b *testing.B) {
+	spec, err := program.SpecByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := program.Build(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Step", func(b *testing.B) {
+		m := New(p)
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Fill4096", func(b *testing.B) {
+		m := New(p)
+		dyn := make([]frag.Dyn, 4096)
+		ea := make([]uint64, 4096)
+		for i := 0; i < b.N; i += len(dyn) {
+			if _, err := m.Fill(dyn, ea); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package emu
 
 import (
+	"errors"
 	"testing"
 
+	"github.com/parallel-frontend/pfe/internal/frag"
 	"github.com/parallel-frontend/pfe/internal/isa"
 	"github.com/parallel-frontend/pfe/internal/program"
 )
@@ -275,6 +277,180 @@ func FuzzEmuVsInterp(f *testing.F) {
 		}
 		if m.Halted() != ref.halted {
 			t.Fatalf("final halt state diverged: emu %v, reference %v", m.Halted(), ref.halted)
+		}
+	})
+}
+
+// outcome is what the reference interpreter says the instruction at its PC
+// will report: the branch outcome and the effective address (0 for
+// non-memory instructions).
+func (r *refState) outcome(in isa.Inst) (taken bool, ea uint64) {
+	a, b := r.readInt(in.Rs1), r.readInt(in.Rs2)
+	switch in.Op {
+	case isa.OpBeq:
+		taken = a == b
+	case isa.OpBne:
+		taken = a != b
+	case isa.OpBlt:
+		taken = int32(a) < int32(b)
+	case isa.OpBge:
+		taken = int32(a) >= int32(b)
+	case isa.OpLw, isa.OpSw, isa.OpLf, isa.OpSf:
+		ea = uint64(a + uint32(in.Imm))
+	}
+	return taken, ea
+}
+
+// FuzzFillMatchesStep checks the batched interpreter against the reference
+// interpreter: Fill at fuzz-chosen batch sizes (0 included) must produce the
+// reference's stream — PCs, instructions, branch outcomes, effective
+// addresses — and register state at every batch boundary. A halt inside a
+// batch ends it early with no error; an invalid PC (an indirect jump out of
+// the image) or an invalid opcode (planted at badAt when plant is set)
+// partway through a batch returns the instructions before it and the error,
+// with the machine standing at the failing instruction, where a following
+// Step fails the same way. Every stepEvery-th batch is followed by a Step,
+// which must continue the same stream.
+func FuzzFillMatchesStep(f *testing.F) {
+	p, err := program.Build(program.TestSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	img := p.Image
+	if len(img) > 2048 {
+		img = img[:2048]
+	}
+	f.Add(img, []byte{7, 0, 200, 31}, uint8(3), false, uint16(0))
+	f.Add(img, []byte{255}, uint8(0), true, uint16(40))
+	stray, err := isa.EncodeAll([]isa.Inst{
+		{Op: isa.OpAddi, Rd: 1, Imm: 20},
+		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: -1},
+		{Op: isa.OpBne, Rs1: 1, Rs2: 0, Imm: -2},
+		{Op: isa.OpJr, Rs1: 0}, // to PC 0, outside the code image
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stray, []byte{16}, uint8(2), false, uint16(0))
+	halts, err := isa.EncodeAll([]isa.Inst{
+		{Op: isa.OpAddi, Rd: 1, Imm: 5},
+		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: -1},
+		{Op: isa.OpBne, Rs1: 1, Rs2: 0, Imm: -2},
+		{Op: isa.OpHalt}, // the 12th instruction: inside the third batch of 5
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(halts, []byte{5}, uint8(0), false, uint16(0))
+	f.Add(halts, []byte{3, 0, 4}, uint8(1), false, uint16(0))
+	f.Add(stray, []byte{5, 1}, uint8(0), true, uint16(2))
+
+	f.Fuzz(func(t *testing.T, raw []byte, sizes []byte, stepEvery uint8, plant bool, badAt uint16) {
+		insts := sanitizeInsts(isa.DecodeImage(raw))
+		p, err := program.FromInsts("fuzz", insts, 0)
+		if err != nil {
+			t.Fatalf("sanitized program rejected: %v", err)
+		}
+		if plant {
+			p.Code[int(badAt)%len(p.Code)] = isa.Inst{Op: isa.OpInvalid}
+		}
+		if len(sizes) == 0 {
+			sizes = []byte{1}
+		}
+		m := New(p)
+		ref := newRef(p)
+		dyn := make([]frag.Dyn, 256)
+		ea := make([]uint64, 256)
+		var count uint64
+
+		// check consumes one reported instruction against the reference.
+		check := func(what string, d frag.Dyn, addr uint64) {
+			t.Helper()
+			in, ok := p.InstAt(ref.pc)
+			if !ok || d.PC != ref.pc || d.Inst != in {
+				t.Fatalf("%s: seq %d: got %v at %#x, reference at %#x", what, count, d.Inst, d.PC, ref.pc)
+			}
+			taken, wantEA := ref.outcome(in)
+			if d.Taken != taken || addr != wantEA {
+				t.Fatalf("%s: seq %d at %#x (%v): taken %v ea %#x, reference %v %#x",
+					what, count, d.PC, in, d.Taken, addr, taken, wantEA)
+			}
+			if !ref.step(p) {
+				t.Fatalf("%s: seq %d: reference stuck at %#x", what, count, d.PC)
+			}
+			count++
+		}
+		// agree compares the architectural state at a batch boundary.
+		agree := func(what string) {
+			t.Helper()
+			if m.PC() != ref.pc || m.ICount() != count || m.Halted() != ref.halted {
+				t.Fatalf("%s: machine at %#x after %d (halted %v), reference at %#x after %d (halted %v)",
+					what, m.PC(), m.ICount(), m.Halted(), ref.pc, count, ref.halted)
+			}
+			for r := isa.Reg(0); r < isa.NumIntRegs; r++ {
+				if got, want := m.IntReg(r), ref.readInt(r); got != want {
+					t.Fatalf("%s: after %d: register %v machine %#x, reference %#x", what, count, r, got, want)
+				}
+			}
+		}
+		// stuck checks a failure: the machine stands at the instruction the
+		// reference cannot execute, and Step fails there the same way.
+		stuck := func(what string, err error) {
+			t.Helper()
+			agree(what)
+			if ref.step(p) {
+				t.Fatalf("%s: failed with %v but the reference steps past %#x", what, err, m.PC())
+			}
+			if _, serr := m.Step(); serr == nil || serr.Error() != err.Error() {
+				t.Fatalf("%s: failed with %v; Step after it: %v", what, err, serr)
+			}
+		}
+
+		const maxInsts = 8192
+		for i := 0; i < maxInsts && count < maxInsts; i++ {
+			k := int(sizes[i%len(sizes)])
+			for j := range ea[:k] {
+				ea[j] = ^uint64(0) // Fill must write every EA it reports
+			}
+			n, err := m.Fill(dyn[:k], ea[:k])
+			if n < 0 || n > k {
+				t.Fatalf("Fill(%d) returned %d", k, n)
+			}
+			for j := 0; j < n; j++ {
+				check("Fill", dyn[j], ea[j])
+			}
+			if err != nil {
+				stuck("Fill", err)
+				return
+			}
+			agree("Fill")
+			if n < k {
+				if !m.Halted() {
+					t.Fatalf("Fill(%d) stopped at %d without halting or failing", k, n)
+				}
+				if n, err := m.Fill(dyn[:k], ea[:k]); n != 0 || err != nil {
+					t.Fatalf("Fill after halt = %d, %v; want 0, nil", n, err)
+				}
+				if _, err := m.Step(); !errors.Is(err, ErrHalted) {
+					t.Fatalf("Step after a halting Fill: %v", err)
+				}
+				return
+			}
+			if stepEvery > 0 && i%int(stepEvery) == 0 && !m.Halted() {
+				d, err := m.Step()
+				if err != nil {
+					stuck("Step", err)
+					return
+				}
+				if d.Seq != count {
+					t.Fatalf("Step seq %d after %d instructions", d.Seq, count)
+				}
+				check("Step", frag.Dyn{PC: d.PC, Inst: d.Inst, Taken: d.Taken}, d.EA)
+				if d.NextPC != ref.pc {
+					t.Fatalf("Step next PC %#x, reference %#x", d.NextPC, ref.pc)
+				}
+				agree("Step")
+			}
 		}
 	})
 }

@@ -328,6 +328,13 @@ type FabricRunner struct {
 	// in-process -local fleet just walks off the lease.
 	OnKill func()
 
+	// OnHold, when non-nil, runs for a hold-injected cell and does not
+	// return: the worker CLI blocks the leased cell until its process is
+	// killed, so a kill drill lands while the lease is held, however fast
+	// the cell would have run. Without it (in-process and -local runs,
+	// where nothing would ever kill the holder) the cell fails instead.
+	OnHold func()
+
 	mu    sync.Mutex
 	cells map[string][][]cell
 }
@@ -471,6 +478,9 @@ func (f *FabricRunner) Run(ctx context.Context, lease fabric.Lease) (json.RawMes
 		}
 		inject = "" // kill budget spent: this epoch runs clean
 	}
+	if inject == "hold" && f.OnHold != nil {
+		f.OnHold()
+	}
 	start := time.Now()
 	memoize := o.Artifacts != nil && inject == ""
 	if memoize {
@@ -518,7 +528,7 @@ func (f *FabricRunner) Run(ctx context.Context, lease fabric.Lease) (json.RawMes
 // ParseInject parses the -inject spec: comma-separated entries, each either
 // a cell fault
 //
-//	bench/key=mode          mode: panic | error | stall | kill[:n]
+//	bench/key=mode          mode: panic | error | stall | hold | kill[:n]
 //
 // or a network chaos rule for the distributed fabric
 //
@@ -549,9 +559,9 @@ func ParseInject(s string) (map[string]string, []fabric.Rule, error) {
 		}
 		if _, isKill := killEpochs(mode); !isKill {
 			switch mode {
-			case "panic", "error", "stall":
+			case "panic", "error", "stall", "hold":
 			default:
-				return nil, nil, fmt.Errorf("-inject %q: mode must be panic, error, stall or kill[:n]", part)
+				return nil, nil, fmt.Errorf("-inject %q: mode must be panic, error, stall, hold or kill[:n]", part)
 			}
 		}
 		cells[target] = mode

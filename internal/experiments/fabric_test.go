@@ -314,11 +314,11 @@ func TestFabricRunnerRefusesForeignCells(t *testing.T) {
 // modes and chaos kinds are rejected instead of silently skipping the drill
 // they were meant to run.
 func TestParseInject(t *testing.T) {
-	cells, rules, err := ParseInject("gzip/W16=panic, mcf/b=error,gcc/c=stall,gzip/a=kill:3,net/report=dup:2,net/heartbeat=blackhole")
+	cells, rules, err := ParseInject("gzip/W16=panic, mcf/b=error,gcc/c=stall,gzip/a=kill:3,twolf/d=hold,net/report=dup:2,net/heartbeat=blackhole")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"gzip/W16": "panic", "mcf/b": "error", "gcc/c": "stall", "gzip/a": "kill:3"}
+	want := map[string]string{"gzip/W16": "panic", "mcf/b": "error", "gcc/c": "stall", "gzip/a": "kill:3", "twolf/d": "hold"}
 	if len(cells) != len(want) {
 		t.Fatalf("cells = %v, want %v", cells, want)
 	}
@@ -349,22 +349,24 @@ func TestParseInject(t *testing.T) {
 
 // TestInProcessInjectRejectsUnknownAndKill pins the in-process side of the
 // same satellite: a mode safeRun does not implement fails the cell loudly
-// (kill with a pointer at the fabric, anything else as unknown) instead of
-// silently running it clean.
+// (kill and hold with a pointer at the fabric workers, anything else as
+// unknown) instead of silently running it clean.
 func TestInProcessInjectRejectsUnknownAndKill(t *testing.T) {
 	log := &FailureLog{}
 	o := Options{
 		Warmup: 1000, Measure: 2000, Workers: 1,
-		RetryBackoff: -1, FailBudget: 2,
+		RetryBackoff: -1, FailBudget: 3,
 		Failures: log, ExperimentID: "inj3",
 		Inject: map[string]string{
 			"gzip/a": "kill",
 			"mcf/b":  "frobnicate",
+			"gcc/c":  "hold",
 		},
 	}
 	cells := []cell{
 		{bench: "gzip", machine: pfe.Preset(pfe.W16), key: "a"},
 		{bench: "mcf", machine: pfe.Preset(pfe.W16), key: "b"},
+		{bench: "gcc", machine: pfe.Preset(pfe.W16), key: "c"},
 	}
 	if _, err := runCells(o, cells); err != nil {
 		t.Fatal(err)
@@ -378,6 +380,9 @@ func TestInProcessInjectRejectsUnknownAndKill(t *testing.T) {
 	}
 	if msg := byKey["b"]; !strings.Contains(msg, "unknown inject mode") {
 		t.Errorf("unknown inject mode error = %q", msg)
+	}
+	if msg := byKey["c"]; !strings.Contains(msg, "-worker processes") {
+		t.Errorf("in-process hold inject error = %q, want a pointer at -worker", msg)
 	}
 }
 

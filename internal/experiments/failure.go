@@ -285,6 +285,10 @@ func safeRun(c *cell, ro pfe.RunOptions, inject string) (r *pfe.Result, err erro
 		return nil, errors.New("injected cell fault (-inject mode error)"), false, ""
 	case inject == "" || inject == "stall":
 		// stall is applied by the caller (watchdog threshold); run normally.
+	case inject == "hold":
+		// hold is consumed by a -worker process before safeRun; anywhere
+		// else nothing would ever kill the holder.
+		return nil, fmt.Errorf("experiments: inject mode %q applies to -worker processes", inject), false, ""
 	default:
 		if _, ok := killEpochs(inject); ok {
 			// kill is consumed by the fabric worker before safeRun; reaching

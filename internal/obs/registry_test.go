@@ -183,3 +183,47 @@ func TestStageProfSampling(t *testing.T) {
 		t.Errorf("Seconds() = %v, want only a positive fetch entry", sec)
 	}
 }
+
+// TestStageProfPhase: a Phased view samples exactly one cycle in every
+// SampleEvery at a phase fixed by its seed, feeds the parent's counters, and
+// over many runs (seeds) times a run's first cycle about once in
+// SampleEvery runs rather than in every run.
+func TestStageProfPhase(t *testing.T) {
+	var nilProf *StageProf
+	if nilProf.Phased(1) != nil {
+		t.Error("a nil profiler's view must be nil")
+	}
+	p := NewStageProf(64)
+	firstTimed := 0
+	const runs = 4096
+	for seed := uint64(0); seed < runs; seed++ {
+		v := p.Phased(seed)
+		var sampled []uint64
+		for c := uint64(0); c < 64*4; c++ {
+			if v.Sampled(c) {
+				sampled = append(sampled, c)
+			}
+		}
+		if len(sampled) != 4 || sampled[1]-sampled[0] != 64 {
+			t.Fatalf("seed %d samples cycles %v, want one in every 64", seed, sampled)
+		}
+		if p.Phased(seed).Sampled(sampled[0]) != true {
+			t.Fatalf("seed %d: phase not deterministic", seed)
+		}
+		if sampled[0] == 0 {
+			firstTimed++
+		}
+	}
+	// Expect runs/64 = 64; a biased phase would give 4096.
+	if firstTimed < 32 || firstTimed > 128 {
+		t.Errorf("cycle 0 timed in %d of %d runs, want about %d", firstTimed, runs, runs/64)
+	}
+	p.Phased(7).Add(StageFetch, 1000)
+	p.Phased(9).AddTotal(StageWarm, 5000)
+	if got := p.StageSeconds(StageFetch); got != 64e3/1e9 {
+		t.Errorf("fetch via a view: StageSeconds = %v, want %v", got, 64e3/1e9)
+	}
+	if got := p.StageSeconds(StageWarm); got != 5e3/1e9 {
+		t.Errorf("warm via a view: StageSeconds = %v, want %v", got, 5e3/1e9)
+	}
+}

@@ -71,10 +71,19 @@ func Stages() []Stage {
 // a single branch; a nil *StageProf is valid and always reports unsampled.
 //
 // One StageProf may be shared by concurrent simulations (all updates are
-// atomic); the result is then the aggregate attribution across them.
+// atomic); the result is then the aggregate attribution across them. Each
+// run samples through its own Phased view, so that the cycles it times do
+// not always include its first: a run's first cycles (fetch filling an
+// empty queue) are unlike its steady state, and short runs — the windows of
+// a sampled run — would otherwise weight them 64-fold.
 type StageProf struct {
 	mask  uint64
+	phase uint64 // cycles sampled satisfy (cycle+phase)&mask == 0
 	every int64
+	c     *stageCounters // shared with every Phased view
+}
+
+type stageCounters struct {
 	nanos [numStages]Counter // sampled time, scaled by every when reported
 	total [numStages]Counter // time measured in full (AddTotal)
 }
@@ -92,29 +101,46 @@ func NewStageProf(every int) *StageProf {
 	for pow < every {
 		pow <<= 1
 	}
-	return &StageProf{mask: uint64(pow - 1), every: int64(pow)}
+	return &StageProf{mask: uint64(pow - 1), every: int64(pow), c: new(stageCounters)}
+}
+
+// Phased returns a view of p for one run: it feeds p's counters but samples
+// the cycles at a phase offset drawn deterministically from seed, which
+// should tell the run apart from others (e.g. its benchmark, machine and
+// start position in the stream). Safe on nil.
+func (p *StageProf) Phased(seed uint64) *StageProf {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	// splitmix64's finalizer: nearby seeds land on unrelated phases.
+	seed += 0x9e3779b97f4a7c15
+	seed = (seed ^ seed>>30) * 0xbf58476d1ce4e5b9
+	seed = (seed ^ seed>>27) * 0x94d049bb133111eb
+	v.phase = (seed ^ seed>>31) & p.mask
+	return &v
 }
 
 // Sampled reports whether the given cycle should be timed. Safe on nil.
 func (p *StageProf) Sampled(cycle uint64) bool {
-	return p != nil && cycle&p.mask == 0
+	return p != nil && (cycle+p.phase)&p.mask == 0
 }
 
 // SampleEvery returns the sampling period in cycles.
 func (p *StageProf) SampleEvery() int64 { return p.every }
 
 // Add attributes a duration measured on a sampled cycle to a stage.
-func (p *StageProf) Add(s Stage, d time.Duration) { p.nanos[s].Add(int64(d)) }
+func (p *StageProf) Add(s Stage, d time.Duration) { p.c.nanos[s].Add(int64(d)) }
 
 // AddTotal attributes a duration measured in full — not on a sampled cycle,
 // so never scaled — to a stage.
-func (p *StageProf) AddTotal(s Stage, d time.Duration) { p.total[s].Add(int64(d)) }
+func (p *StageProf) AddTotal(s Stage, d time.Duration) { p.c.total[s].Add(int64(d)) }
 
 // StageSeconds returns the estimated total wall time of one stage
 // (measured sampled time scaled by the sampling factor, plus time measured
 // in full).
 func (p *StageProf) StageSeconds(s Stage) float64 {
-	return float64(p.nanos[s].Value()*p.every+p.total[s].Value()) / 1e9
+	return float64(p.c.nanos[s].Value()*p.every+p.c.total[s].Value()) / 1e9
 }
 
 // Merge adds another profiler's raw samples into p. Both must use the same
@@ -124,8 +150,8 @@ func (p *StageProf) Merge(from *StageProf) {
 		return
 	}
 	for s := Stage(0); s < numStages; s++ {
-		p.nanos[s].Add(from.nanos[s].Value())
-		p.total[s].Add(from.total[s].Value())
+		p.c.nanos[s].Add(from.c.nanos[s].Value())
+		p.c.total[s].Add(from.c.total[s].Value())
 	}
 }
 

@@ -114,3 +114,33 @@ func TestForeignFragTableRejected(t *testing.T) {
 		t.Fatal("Run accepted a fragment table built under other heuristics")
 	}
 }
+
+// posOracle is an oracle that reports its stream position, as a tape
+// reader does.
+type posOracle struct {
+	emu.Oracle
+	pos uint64
+}
+
+func (o posOracle) Pos() uint64 { return o.pos }
+
+// TestProfSeedSeparatesWindows: the self-profile phase seed of a run depends
+// on where in the stream its oracle starts, so the windows of a sampled run
+// (same program, machine and budgets) sample different cycles, and on
+// nothing else that varies between two identical runs.
+func TestProfSeedSeparatesWindows(t *testing.T) {
+	p, err := program.Build(program.TestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(pos uint64) *Config {
+		return &Config{FrontEnd: core.Config{Name: "PR-2x8w"}, WarmupInsts: 3000, MeasureInsts: 2000,
+			Oracle: posOracle{Oracle: emu.New(p), pos: pos}}
+	}
+	if profSeed(p, cfg(20_000)) != profSeed(p, cfg(20_000)) {
+		t.Error("the same window gets two seeds")
+	}
+	if profSeed(p, cfg(20_000)) == profSeed(p, cfg(40_000)) {
+		t.Error("windows at different stream positions share a seed")
+	}
+}

@@ -6,7 +6,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"time"
 
@@ -244,6 +246,9 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 	case cfg.Obs != nil:
 		prof = cfg.Obs.Prof
 	}
+	if prof != nil {
+		prof = prof.Phased(profSeed(p, &cfg))
+	}
 	cfg.FrontEnd.Sink = cfg.Events
 	cfg.FrontEnd.Metrics = met
 	cfg.FrontEnd.Prof = prof
@@ -284,6 +289,24 @@ func New(p *program.Program, cfg Config) (*Sim, error) {
 		cfg.Obs.SimsStarted.Inc()
 	}
 	return s, nil
+}
+
+// profSeed tells a run apart for its self-profile's sampling phase: the
+// benchmark, the machine, the budgets and, for an oracle that knows it (a
+// tape reader), the stream position the run starts at — which is what
+// differs between the windows of a sampled run.
+func profSeed(p *program.Program, cfg *Config) uint64 {
+	var pos uint64
+	if o, ok := cfg.Oracle.(interface{ Pos() uint64 }); ok {
+		pos = o.Pos()
+	}
+	b := []byte(p.Name + "\x00" + cfg.FrontEnd.Name + "\x00")
+	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.WarmupInsts))
+	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.MeasureInsts))
+	b = binary.LittleEndian.AppendUint64(b, pos)
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // flushObs pushes the batched telemetry deltas into the shared counters.
