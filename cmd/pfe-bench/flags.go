@@ -9,31 +9,19 @@ import (
 )
 
 // accelFlags groups the tape-powered acceleration flags: systematic
-// sampling (-sample and its window parameters), time-parallel slicing
-// (-slices), and the sampled-vs-full validation suite (-validate-sampling).
+// sampling (-sample and its window parameters) and the sampled-vs-full
+// validation suite (-validate-sampling).
 type accelFlags struct {
 	Sample   bool
 	Unit     int64
 	Period   int64
 	Warmup   int64
-	Slices   int
-	SliceWmp int64
 	Validate bool
 }
 
 // validate rejects contradictory or nonsensical combinations before any
 // simulation starts. Errors here are usage errors (exit 2).
 func (a accelFlags) validate() error {
-	if a.Sample && a.Slices > 1 {
-		return fmt.Errorf("-sample and -slices %d are mutually exclusive: "+
-			"sampling estimates IPC from detailed windows, slicing partitions the full stream; pick one", a.Slices)
-	}
-	if a.Slices < 0 {
-		return fmt.Errorf("-slices %d: want a non-negative slice count (0 or 1 = off)", a.Slices)
-	}
-	if a.SliceWmp < 0 {
-		return fmt.Errorf("-slice-warmup %d: want a non-negative instruction count (0 = -warmup)", a.SliceWmp)
-	}
 	if a.Sample || a.Validate {
 		if a.Unit <= 0 || a.Period <= 0 || a.Warmup < 0 {
 			return fmt.Errorf("-sample-unit %d / -sample-period %d / -sample-warmup %d: "+
@@ -52,28 +40,20 @@ func (a accelFlags) spec() pfe.SampleSpec {
 	return pfe.SampleSpec{Unit: a.Unit, Period: a.Period, Warmup: a.Warmup}
 }
 
-// apply threads the acceleration modes into the experiment options.
+// apply threads the acceleration mode into the experiment options.
 func (a accelFlags) apply(opts *experiments.Options) {
 	if a.Sample {
 		sp := a.spec()
 		opts.Sample = &sp
 	}
-	if a.Slices > 1 {
-		opts.Slices = a.Slices
-		opts.SliceWarmup = a.SliceWmp
-	}
 }
 
-// stamp records the active acceleration modes in a JSON report's run spec,
+// stamp records the active acceleration mode in a JSON report's run spec,
 // so a report says how its numbers were produced.
 func (a accelFlags) stamp(spec *obs.RunSpec) {
 	if a.Sample {
 		spec.SampleUnit = a.Unit
 		spec.SamplePeriod = a.Period
 		spec.SampleWarmup = a.Warmup
-	}
-	if a.Slices > 1 {
-		spec.Slices = a.Slices
-		spec.SliceWarmup = a.SliceWmp
 	}
 }

@@ -212,9 +212,10 @@ func TestInjectedFaultsStayUnderBudget(t *testing.T) {
 	}
 }
 
-// TestSampleSlicesUsageError pins the flag gate end to end: -sample
-// combined with -slices > 1 is a usage error (exit 2) diagnosed before any
-// simulation starts, with an explanation on stderr.
+// TestSampleSlicesUsageError pins the flag gate end to end: the retired
+// time-parallel -slices flag is a usage error (exit 2) diagnosed before any
+// simulation starts, so a script still passing it fails loudly instead of
+// silently running a different sweep.
 func TestSampleSlicesUsageError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
@@ -225,8 +226,28 @@ func TestSampleSlicesUsageError(t *testing.T) {
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("exit = %v, want usage error code 2\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "mutually exclusive") {
-		t.Errorf("stderr does not explain the conflict:\n%s", out)
+	if !strings.Contains(string(out), "flag provided but not defined: -slices") {
+		t.Errorf("stderr does not name the unknown flag:\n%s", out)
+	}
+}
+
+// TestInjectUsageError pins the -inject gate end to end: an unknown fault
+// mode, the retired fabric worker modes and network chaos rules included,
+// is a usage error (exit 2) diagnosed before any simulation starts.
+func TestInjectUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess integration test")
+	}
+	pb := bin(t)
+	for _, spec := range []string{"gzip/W16=frobnicate", "gzip/W16=kill:2", "net/report=drop"} {
+		out, err := exec.Command(pb, benchArgs("-inject", spec)...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("-inject %s: exit = %v, want usage error code 2\n%s", spec, err, out)
+		}
+		if !strings.Contains(string(out), "mode must be") && !strings.Contains(string(out), "want bench/key=mode") {
+			t.Errorf("-inject %s: stderr does not explain the rejection:\n%s", spec, out)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // pfe-bench regenerates the paper's tables and figures, with opt-in live
-// telemetry, machine-readable provenance reports, a perf-regression
-// comparator, and a fault-tolerant sweep harness (crash-safe journal,
-// resume, retries, failure budget, graceful shutdown).
+// telemetry, machine-readable provenance reports, and a fault-tolerant
+// sweep harness (crash-safe journal, resume, retries, failure budget,
+// graceful shutdown).
 //
 // Usage:
 //
@@ -14,24 +14,16 @@
 //	pfe-bench -exp all -journal run.wal         # crash-safe result journal
 //	pfe-bench -exp all -resume run.wal          # replay it after a crash/kill
 //	pfe-bench -exp fig8 -max-retries 2 -fail-budget 3
-//	pfe-bench -tol 0.5 -compare old.json new.json
 //	pfe-bench -exp fig8 -sample                 # systematic sampling (IPC ± CI)
-//	pfe-bench -exp fig8 -slices 8               # time-parallel slicing
 //	pfe-bench -validate-sampling                # sampled-vs-full error gate
 //	pfe-bench -exp fig8 -sweep-trace sweep.json # Perfetto-loadable sweep trace
 //	pfe-bench -exp all -events                  # live /events SSE stream
 //
-// -sample and -slices accelerate every simulation of a sweep by replaying
-// oracle tapes: sampling simulates detailed windows (-sample-unit every
-// -sample-period, after -sample-warmup) and fast-forwards the gaps;
-// slicing cuts each measured stream into -slices pieces simulated
-// concurrently. The two are mutually exclusive. -validate-sampling runs
+// -sample accelerates every simulation of a sweep by replaying oracle
+// tapes: it simulates detailed windows (-sample-unit every -sample-period,
+// after -sample-warmup) and fast-forwards the gaps. -validate-sampling runs
 // the accuracy gate behind the sampled numbers: full vs sampled on every
 // selected benchmark, failing when an error exceeds its 95% CI.
-//
-// -compare exits 0 when every matched benchmark row is within tolerance
-// (improvements included), 1 on an IPC or throughput regression, 2 on a
-// usage or decoding error.
 //
 // SIGINT/SIGTERM drain the sweep: in-flight simulations finish, the journal
 // is flushed, a -json report is still written (marked "partial": true), the
@@ -54,7 +46,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/artifact"
 	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/experiments"
-	"github.com/parallel-frontend/pfe/internal/fabric"
 	"github.com/parallel-frontend/pfe/internal/journal"
 	"github.com/parallel-frontend/pfe/internal/obs"
 	"github.com/parallel-frontend/pfe/internal/obs/span"
@@ -76,10 +67,6 @@ func run() int {
 		selfProf = flag.Bool("selfprofile", false, "attribute the simulator's own wall time per pipeline stage (sampled)")
 		progress = flag.Bool("progress", true, "print per-experiment progress lines with ETA to stderr")
 
-		compare = flag.Bool("compare", false, "compare two JSON reports (old new) and exit non-zero on regression")
-		tol     = flag.Float64("tol", 0.5, "IPC regression tolerance for -compare, percent")
-		ttol    = flag.Float64("ttol", 25, "host-throughput (sims/sec) regression tolerance for -compare, percent")
-
 		journalPath = flag.String("journal", "", "append every completed cell to this crash-safe journal (fsynced JSONL WAL)")
 		resumePath  = flag.String("resume", "", "replay completed cells from this journal, run the rest, and append to it")
 		maxRetries  = flag.Int("max-retries", 1, "re-run a failed cell (panic/error/stall) this many times before it counts as failed")
@@ -87,37 +74,24 @@ func run() int {
 		dumpDir     = flag.String("dump-dir", "", "directory for watchdog stall diagnostics (default: OS temp dir)")
 		stallCycles = flag.Uint64("stall-cycles", 0, "watchdog threshold: fail a simulation after this many cycles without a commit (0 = simulator default)")
 		flightRec   = flag.Int("flight-recorder", 0, "keep the last N pipeline events per simulation for stall diagnostics (0 = off)")
-		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode (mode panic|error|stall|hold|kill[:n]) and net/endpoint=kind[:n] network chaos rules (testing the harness itself)")
+		inject      = flag.String("inject", "", "fault injection: comma-separated bench/key=mode (mode panic|error|stall), for testing the harness itself")
 
 		artifactMem = flag.Int64("artifact-mem", 256, "artifact cache cap in MiB (shared program images, oracle tapes, memoized cell results; LRU past the cap; 0 = unbounded)")
 		noArtifacts = flag.Bool("no-artifact-cache", false, "disable cross-cell workload reuse: every cell rebuilds its benchmark and re-emulates from instruction zero")
 
-		artifactDir    = flag.String("artifact-dir", "", "persistent artifact store directory (default $PFE_ARTIFACT_DIR, else ~/.cache/pfe)")
-		artifactDisk   = flag.Int64("artifact-disk", 4096, "persistent artifact store byte budget in MiB (LRU GC past it; 0 = unbounded)")
-		noStore        = flag.Bool("no-artifact-store", false, "disable the persistent on-disk artifact store (cross-run reuse); the in-memory cache still applies")
-		updateBaseline = flag.Bool("update-baseline", false, "with -json: overwrite the stored -compare baseline for this run configuration (after an intentional perf change)")
+		artifactDir  = flag.String("artifact-dir", "", "persistent artifact store directory (default $PFE_ARTIFACT_DIR, else ~/.cache/pfe)")
+		artifactDisk = flag.Int64("artifact-disk", 4096, "persistent artifact store byte budget in MiB (LRU GC past it; 0 = unbounded)")
+		noStore      = flag.Bool("no-artifact-store", false, "disable the persistent on-disk artifact store (cross-run reuse); the in-memory cache still applies")
 
 		sweepTrace = flag.String("sweep-trace", "", "write the sweep's span trace to this file: Chrome trace_event JSON (load in Perfetto/chrome://tracing), or NDJSON when the name ends in .ndjson/.jsonl")
 		events     = flag.Bool("events", false, "serve the live sweep event stream at /events (SSE, deterministic cell order); implies -http localhost:0 when -http is unset")
 	)
-	var fab fabricFlags
-	flag.StringVar(&fab.Worker, "worker", "", "run as a distributed-sweep worker against this coordinator URL (e.g. http://host:7070); the sweep configuration comes from the coordinator")
-	flag.StringVar(&fab.WorkerID, "worker-id", "", "worker identity reported to the coordinator (default host-pid)")
-	flag.StringVar(&fab.Coordinator, "coordinator", "", "serve the sweep as a distributed-sweep coordinator on this address (e.g. :7070), leasing cells to -worker processes instead of simulating in-process")
-	flag.IntVar(&fab.Local, "local", 0, "distributed determinism mode: run the coordinator plus this many in-process workers over a loopback listener")
-	flag.DurationVar(&fab.LeaseTTL, "lease-ttl", 10*time.Second, "fabric lease TTL: a cell whose worker misses heartbeats this long is re-queued (its epoch fences the zombie's late report)")
-	flag.DurationVar(&fab.Heartbeat, "heartbeat", 0, "heartbeat interval fabric workers are told to use (0 = lease-ttl/3)")
-	flag.IntVar(&fab.LeaseBatch, "lease-batch", 2, "leases a fabric worker takes per round trip (1 = one at a time); batches run sequentially, each under its own heartbeat")
-	flag.BoolVar(&fab.Prefetch, "prefetch", true, "overlap network with compute: while a fabric worker simulates one cell it prefetches the next queued cell's artifacts")
-	flag.BoolVar(&fab.NoBlobFetch, "no-blob-fetch", false, "disable the fabric artifact plane: workers rebuild every program image and oracle tape locally instead of fetching by hash (the pre-plane baseline)")
 	var accel accelFlags
 	ds := pfe.DefaultSampleSpec()
 	flag.BoolVar(&accel.Sample, "sample", false, "systematic sampling: simulate detailed windows over the oracle tape, fast-forward the gaps, report IPC estimates with 95% confidence intervals")
 	flag.Int64Var(&accel.Unit, "sample-unit", ds.Unit, "instructions per detailed sampling window")
 	flag.Int64Var(&accel.Period, "sample-period", ds.Period, "instructions from one window start to the next (>= warmup+unit)")
 	flag.Int64Var(&accel.Warmup, "sample-warmup", ds.Warmup, "detailed warmup instructions preceding each window")
-	flag.IntVar(&accel.Slices, "slices", 0, "time-parallel slicing: cut each measured stream into this many tape-indexed slices simulated concurrently (0 or 1 = off)")
-	flag.Int64Var(&accel.SliceWmp, "slice-warmup", 0, "overlapped detailed warmup instructions per interior slice (0 = -warmup)")
 	flag.BoolVar(&accel.Validate, "validate-sampling", false, "run the sampled-vs-full validation suite on every selected benchmark and exit (0 = every error within its confidence interval)")
 	flag.Parse()
 
@@ -128,15 +102,7 @@ func run() int {
 		return 0
 	}
 
-	if *compare {
-		return runCompare(flag.Args(), *tol, *ttol, *artifactDir, *artifactDisk)
-	}
-
 	if err := accel.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-		return 2
-	}
-	if err := fab.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 		return 2
 	}
@@ -150,21 +116,13 @@ func run() int {
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
-	var chaosRules []fabric.Rule
 	if *inject != "" {
-		m, rules, err := experiments.ParseInject(*inject)
+		m, err := experiments.ParseInject(*inject)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
 			return 2
 		}
-		if len(m) > 0 {
-			opts.Inject = m
-		}
-		chaosRules = rules
-		if len(chaosRules) > 0 && !fab.active() && fab.Worker == "" {
-			fmt.Fprintln(os.Stderr, "pfe-bench: -inject net/ chaos rules need -local, -coordinator or -worker (they fault fabric transports)")
-			return 2
-		}
+		opts.Inject = m
 	}
 	if !*noArtifacts {
 		opts.Artifacts = artifact.New(*artifactMem << 20)
@@ -187,13 +145,6 @@ func run() int {
 	defer stop()
 	opts.Ctx = ctx
 
-	if fab.Worker != "" {
-		// Worker mode: the sweep shape (budgets, benchmarks, acceleration,
-		// injected faults) comes from the coordinator; local flags supply
-		// the artifact cache/store wired above, chaos rules, and overrides.
-		return runWorker(ctx, fab, opts, chaosRules)
-	}
-
 	if accel.Validate {
 		return runValidateSampling(accel.spec(), opts)
 	}
@@ -202,9 +153,9 @@ func run() int {
 	if *exp == "all" {
 		todo = experiments.All()
 	} else {
-		// Comma-separated ids run as one sweep: a single fabric session and
-		// one artifact plane span all of them, so warm state and tapes
-		// recorded for an early experiment are reused by later ones.
+		// Comma-separated ids run as one sweep over one artifact cache, so
+		// warm state and tapes recorded for an early experiment are reused
+		// by later ones.
 		for _, id := range strings.Split(*exp, ",") {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
@@ -302,19 +253,6 @@ func run() int {
 		opts.Journal = w
 	}
 
-	// Distributed fabric: -local N spins a loopback fleet (the bit-identical
-	// determinism mode), -coordinator serves real workers. Either way cells
-	// resolve through the lease table from here on.
-	var fabricSess *fabricSession
-	if fab.active() {
-		var err error
-		fabricSess, err = startFabric(fab, &opts, *maxRetries, *dumpDir, diskStore, reg, tracker, chaosRules)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
-	}
-
 	var report *obs.ReportBuilder
 	if *jsonOut != "" {
 		ids := make([]string, len(todo))
@@ -361,17 +299,6 @@ func run() int {
 		}
 		fmt.Println(res)
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, wall.Round(time.Millisecond))
-	}
-
-	// Drain the fabric before freezing telemetry: workers get their 410,
-	// the loopback fleet joins, and the lease accounting prints.
-	if fabricSess != nil {
-		if err := fabricSess.shutdown(); err != nil {
-			fmt.Fprintf(os.Stderr, "pfe-bench: fabric worker: %v\n", err)
-			if exit == 0 {
-				exit = 1
-			}
-		}
 	}
 
 	// End of sweep: closing the tracer ends every /events stream (subscribers
@@ -452,9 +379,6 @@ func run() int {
 			}
 			report.SetArtifacts(ar)
 		}
-		if fabricSess != nil {
-			report.SetFabric(fabricSess.fabricReport())
-		}
 		// Per-cell timing breakdown from the span trace: where each row's
 		// wall time went (queue-wait, build, sim, overhead).
 		for _, ct := range span.CellTimings(spans.Records()) {
@@ -470,9 +394,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "pfe-bench: writing %s: %v\n", *jsonOut, err)
 			return 2
 		}
-		// Every complete -json run seeds (or, with -update-baseline,
-		// refreshes) the store-resolved baseline `-compare store` reads.
-		putBaseline(diskStore, rep, *updateBaseline)
 		partial := ""
 		if rep.Partial {
 			partial = ", partial"
@@ -565,25 +486,6 @@ func (c *cellObserver) Sharded(wall time.Duration, stats []experiments.ShardStat
 	}
 }
 
-// Fabric receives the coordinator's per-worker lease accounting for one
-// completed distributed batch, feeding the progress tracker (/status
-// fabric_workers) and the report's scheduler block.
-func (c *cellObserver) Fabric(wall time.Duration, stats []fabric.WorkerStat) {
-	ts := make([]obs.FabricWorkerStatus, len(stats))
-	rs := make([]obs.FabricWorkerReport, len(stats))
-	for i, s := range stats {
-		ts[i] = obs.FabricWorkerStatus{
-			ID: s.ID, Leases: s.Leases, Completed: s.Completed,
-			Requeued: s.Requeued, Fenced: s.Fenced,
-		}
-		rs[i] = obs.FabricWorkerReport(ts[i])
-	}
-	c.tracker.FabricDone(c.id, ts)
-	if c.report != nil {
-		c.report.AddFabricWorkers(c.id, rs)
-	}
-}
-
 func (c *cellObserver) Completed(bench, key string, wall time.Duration, r *pfe.Result) {
 	c.tracker.SimDone(c.id, r.IPC, wall)
 	if c.report == nil {
@@ -626,48 +528,6 @@ func runValidateSampling(spec pfe.SampleSpec, opts experiments.Options) int {
 		return 1
 	}
 	return 0
-}
-
-// runCompare gates new.json against a baseline: a report file, or the
-// literal `store`, which resolves the stored baseline matching the new
-// report's run configuration from the persistent artifact store.
-func runCompare(args []string, tol, ttol float64, storeDir string, storeBudget int64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: pfe-bench [-tol pct] [-ttol pct] -compare {old.json|store} new.json")
-		return 2
-	}
-	newRep, err := obs.ReadReportFile(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-		return 2
-	}
-	var oldRep *obs.Report
-	oldName := args[0]
-	if args[0] == "store" {
-		st := openStore(storeDir, storeBudget)
-		if st == nil {
-			return 2
-		}
-		defer st.Close()
-		oldRep, err = resolveBaseline(st, newRep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
-		oldName = "store:" + baselineKey(newRep.Options)
-	} else {
-		oldRep, err = obs.ReadReportFile(args[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfe-bench:", err)
-			return 2
-		}
-	}
-	cmp := obs.Compare(oldRep, newRep, obs.CompareOptions{IPCTolPct: tol, ThroughputTolPct: ttol})
-	fmt.Printf("old: %s  (git %s, %s)\nnew: %s  (git %s, %s)\n\n",
-		oldName, shortSHA(oldRep.Provenance.GitSHA), oldRep.CreatedAt,
-		args[1], shortSHA(newRep.Provenance.GitSHA), newRep.CreatedAt)
-	fmt.Print(cmp.Table())
-	return cmp.ExitCode()
 }
 
 func shortSHA(s string) string {

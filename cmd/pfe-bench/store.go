@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,11 +8,6 @@ import (
 	"github.com/parallel-frontend/pfe/internal/artifact/store"
 	"github.com/parallel-frontend/pfe/internal/obs"
 )
-
-// storeKindReport is the store kind holding -compare baselines: one report
-// per run configuration (see baselineKey), resolved with
-// `pfe-bench -compare store new.json`.
-const storeKindReport = "report"
 
 // defaultArtifactDir resolves the persistent store location when
 // -artifact-dir is unset: $PFE_ARTIFACT_DIR (how tests and CI redirect the
@@ -50,55 +41,6 @@ func openStore(dir string, budgetMiB int64) *store.Store {
 		return nil
 	}
 	return st
-}
-
-// baselineKey is the content address of a -compare baseline: a hash of the
-// run configuration (budgets, benchmarks, experiments, acceleration modes),
-// so a warm store resolves the right baseline for exactly this sweep shape.
-func baselineKey(spec obs.RunSpec) string {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(data)
-	return "baseline:" + hex.EncodeToString(sum[:])[:16]
-}
-
-// putBaseline records rep as the store-resolved -compare baseline for its
-// run configuration. The first complete report for a configuration wins
-// (put-if-absent) so later regressed runs cannot silently move the baseline;
-// -update-baseline forces a refresh after an intentional perf change.
-func putBaseline(st *store.Store, rep *obs.Report, force bool) {
-	if st == nil || rep == nil || rep.Partial || len(rep.Failures) > 0 {
-		return
-	}
-	key := baselineKey(rep.Options)
-	if key == "" || (!force && st.Has(storeKindReport, key)) {
-		return
-	}
-	var buf bytes.Buffer
-	if err := obs.EncodeReport(&buf, rep); err != nil {
-		return
-	}
-	if err := st.Put(storeKindReport, key, buf.Bytes()); err == nil {
-		fmt.Fprintf(os.Stderr, "baseline: stored for this run configuration (%s)\n", key)
-	}
-}
-
-// resolveBaseline loads the stored -compare baseline matching newRep's run
-// configuration.
-func resolveBaseline(st *store.Store, newRep *obs.Report) (*obs.Report, error) {
-	key := baselineKey(newRep.Options)
-	data, ok := st.Get(storeKindReport, key)
-	if !ok {
-		return nil, fmt.Errorf("no stored baseline for this run configuration (%s); run once with -json first", key)
-	}
-	rep, err := obs.DecodeReport(bytes.NewReader(data))
-	if err != nil {
-		st.Quarantine(storeKindReport, key)
-		return nil, fmt.Errorf("stored baseline %s undecodable (quarantined): %w", key, err)
-	}
-	return rep, nil
 }
 
 // diskReport converts a store snapshot into the report's artifacts.disk

@@ -78,39 +78,6 @@ func TestStoreWarmRunByteIdenticalAndFaster(t *testing.T) {
 	t.Logf("cold %v, warm %v (%.1fx)", coldDur, warmDur, float64(coldDur)/float64(warmDur))
 }
 
-// TestStoreCompareResolvesBaseline drives the store-resolved regression gate:
-// a cold -json run records its own baseline into the store, and
-// `-compare store new.json` must find it by the run's configuration hash and
-// pass (the two runs are deterministic replicas).
-func TestStoreCompareResolvesBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess integration test")
-	}
-	pb := bin(t)
-	dir := t.TempDir()
-	storeDir := filepath.Join(dir, "store")
-
-	coldOut := filepath.Join(dir, "cold.json")
-	if b, err := exec.Command(pb, benchArgs("-json", coldOut, "-artifact-dir", storeDir)...).CombinedOutput(); err != nil {
-		t.Fatalf("cold run: %v\n%s", err, b)
-	}
-	newOut := filepath.Join(dir, "new.json")
-	if b, err := exec.Command(pb, benchArgs("-json", newOut, "-artifact-dir", storeDir)...).CombinedOutput(); err != nil {
-		t.Fatalf("second run: %v\n%s", err, b)
-	}
-	cmp := exec.Command(pb, "-compare", "-artifact-dir", storeDir, "store", newOut)
-	if b, err := cmp.CombinedOutput(); err != nil {
-		t.Fatalf("-compare store: %v\n%s", err, b)
-	}
-	// A store with no baseline for this configuration must fail loudly, not
-	// pass vacuously.
-	empty := filepath.Join(dir, "empty-store")
-	cmp = exec.Command(pb, "-compare", "-artifact-dir", empty, "store", newOut)
-	if b, err := cmp.CombinedOutput(); err == nil {
-		t.Fatalf("-compare store passed against an empty store:\n%s", b)
-	}
-}
-
 // TestStoreKillDuringWriteThenRecover SIGKILLs a sweep while it is actively
 // populating the store, then reopens the same store directory: the next run
 // must come up consistent (orphans swept, torn journal tail dropped), finish

@@ -564,5 +564,8 @@ func (b *Backend) InFlight() int { return len(b.order) - b.head }
 // Committed returns the total instructions committed.
 func (b *Backend) Committed() int64 { return b.committed }
 
+// CommitWidth returns the instructions the back-end can commit per cycle.
+func (b *Backend) CommitWidth() int { return b.cfg.CommitWidth }
+
 // WrongPathExecuted returns how many wrong-path ops were issued.
 func (b *Backend) WrongPathExecuted() int64 { return b.wrongPathExec }

@@ -231,8 +231,8 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s — the piecewise aggregation behind
-// sampled and time-parallel runs, where one logical run's statistics are the
-// sum of its windows' or slices'.
+// sampled runs, where one logical run's statistics are the sum of its
+// windows'.
 func (s *Stats) Add(o Stats) {
 	s.Cycles += o.Cycles
 	s.FetchSlots += o.FetchSlots

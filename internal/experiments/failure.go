@@ -75,9 +75,6 @@ func cellHash(c *cell, ro pfe.RunOptions) string {
 	if ro.Sample != nil {
 		fmt.Fprintf(h, "|sample:%d/%d/%d", ro.Sample.Unit, ro.Sample.Period, ro.Sample.Warmup)
 	}
-	if ro.Slices > 0 {
-		fmt.Fprintf(h, "|slices:%d/%d", ro.Slices, ro.SliceWarmup)
-	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -135,7 +132,7 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 			}
 			// Journal before reporting: a record exists for every cell
 			// an observer (and thus a report) has seen complete.
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, attempt, 0, r))
+			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, attempt, r))
 			if attempt > 1 {
 				cs.Int("retries", int64(attempt-1))
 			}
@@ -193,8 +190,7 @@ func (o Options) runCell(ctx context.Context, c *cell, ro pfe.RunOptions, batch 
 // replayCell resolves a cell without simulating when a previous run's
 // journal (resume) or this run's result memo already holds it, annotating
 // the open cell span with the provenance. ok=false means the cell must
-// actually run. Shared between the in-process path (runCell) and the fabric
-// coordinator (runCellsFabric), so both short-circuit identically.
+// actually run.
 func (o Options) replayCell(cs span.Span, c *cell, hash string) (cellOutcome, bool) {
 	if o.Resume != nil {
 		if r, ok := o.Resume.lookup(o.ExperimentID, c.bench, c.key, hash); ok {
@@ -224,7 +220,7 @@ func (o Options) replayCell(cs span.Span, c *cell, hash string) (cellOutcome, bo
 			} else {
 				cs.Str("source", "memo-hit")
 			}
-			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, 0, r))
+			o.journalCell(cs, newCellRecord(o.ExperimentID, c, hash, 0, r))
 			if o.Observer != nil {
 				o.Observer.Completed(c.bench, c.key, 0, r)
 			}
@@ -285,17 +281,7 @@ func safeRun(c *cell, ro pfe.RunOptions, inject string) (r *pfe.Result, err erro
 		return nil, errors.New("injected cell fault (-inject mode error)"), false, ""
 	case inject == "" || inject == "stall":
 		// stall is applied by the caller (watchdog threshold); run normally.
-	case inject == "hold":
-		// hold is consumed by a -worker process before safeRun; anywhere
-		// else nothing would ever kill the holder.
-		return nil, fmt.Errorf("experiments: inject mode %q applies to -worker processes", inject), false, ""
 	default:
-		if _, ok := killEpochs(inject); ok {
-			// kill is consumed by the fabric worker before safeRun; reaching
-			// it here means the cell ran in-process, where a worker cannot be
-			// killed.
-			return nil, fmt.Errorf("experiments: inject mode %q applies to fabric workers (-local or -worker)", inject), false, ""
-		}
 		// An unknown mode must fail the cell loudly, never run it clean: a
 		// typo in -inject would otherwise silently pass the fault drill it
 		// was meant to perform.

@@ -8,9 +8,7 @@ import (
 
 // ShardStat describes one worker's share of a runSharded batch. It is the
 // shared scheduler's per-worker statistic; the alias keeps the experiments
-// API (cmd/pfe-bench's ShardObserver) stable now that the work-stealing
-// pool lives in internal/shard, where the time-parallel simulation slicer
-// uses it too.
+// API (cmd/pfe-bench's ShardObserver) independent of internal/shard.
 type ShardStat = shard.Stat
 
 // runSharded executes run(i) exactly once for every i in [0, n) on the

@@ -52,7 +52,6 @@ func ValidateSampling(m pfe.Machine, spec pfe.SampleSpec, o Options) (*Validatio
 	benches := o.benches()
 	ro := o.runOpts()
 	ro.Sample = nil
-	ro.Slices = 0
 	if ro.Artifacts == nil {
 		// The sampled path needs tapes; budget two workloads per worker
 		// plus slack so full and sampled runs of a benchmark share one

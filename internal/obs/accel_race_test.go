@@ -1,10 +1,10 @@
 package obs_test
 
-// Accelerated-mode scrape test: sampled and time-parallel-sliced simulations
-// feed the pfe_sample_* / pfe_slice_* counters while clients hammer /metrics
-// and /status. Under -race this checks the whole accelerated telemetry path
-// for data races; the final scrape asserts the new metric families carry
-// real values.
+// Accelerated-mode scrape test: a sampled simulation feeds the pfe_sample_*
+// counters, next to a full one, while clients hammer /metrics and /status.
+// Under -race this checks the whole accelerated telemetry path for data
+// races; the final scrape asserts the sampling metric families carry real
+// values.
 
 import (
 	"encoding/json"
@@ -69,8 +69,8 @@ func TestLiveScrapeDuringAcceleratedRuns(t *testing.T) {
 	go run("sample", pfe.RunOptions{
 		WarmupInsts: 5_000, MeasureInsts: 60_000, Obs: sc, Sample: &sampleSpec,
 	})
-	go run("slices", pfe.RunOptions{
-		WarmupInsts: 5_000, MeasureInsts: 60_000, Obs: sc, Slices: 4, SliceWorkers: 2,
+	go run("full", pfe.RunOptions{
+		WarmupInsts: 5_000, MeasureInsts: 60_000, Obs: sc,
 	})
 	sims.Wait()
 	tr.FinishExperiment("accel")
@@ -83,9 +83,6 @@ func TestLiveScrapeDuringAcceleratedRuns(t *testing.T) {
 		"pfe_sample_gap_instructions_total ",
 		"pfe_sample_fallback_steps_total ",
 		"pfe_sample_ci_halfwidth_bucket",
-		"pfe_slice_slices_total 4",
-		"pfe_slice_seam_cycles_total ",
-		"pfe_slice_seam_trimmed_instructions_total ",
 		`pfe_stage_seconds_total{stage="warm"}`,
 		`pfe_stage_seconds_total{stage="fetch_oracle"}`,
 	} {
@@ -101,12 +98,6 @@ func TestLiveScrapeDuringAcceleratedRuns(t *testing.T) {
 	}
 	if warm := sc.Prof.StageSeconds(obs.StageWarm); warm <= 0 {
 		t.Errorf("no warm stage time attributed to the sampled run: %v", warm)
-	}
-	if sc.Slices.Value() != 4 {
-		t.Errorf("Slices = %d, want 4", sc.Slices.Value())
-	}
-	if sc.SliceSeamCycles.Value() == 0 {
-		t.Error("no seam warmup cycles counted for interior slices")
 	}
 
 	var st obs.Status

@@ -3,8 +3,7 @@
 // simulations, Prometheus text-format exposition, an opt-in HTTP server
 // (/metrics, /status, net/http/pprof), sampled per-stage wall-time
 // self-profiling of the simulator, and the machine-readable benchmark
-// provenance schema plus regression comparator behind
-// `pfe-bench -json` / `pfe-bench -compare`.
+// provenance schema behind `pfe-bench -json`.
 //
 // Everything on the update path is a single atomic operation (or a plain
 // branch when observability is off), so simulations pay nothing unless a

@@ -59,14 +59,6 @@ type SimCounters struct {
 	SampleFallback *Counter
 	SampleCI       *Histogram
 
-	// Time-parallel slicing telemetry (pfe_slice_*): slices simulated,
-	// overlapped warmup cycles spent re-entering interior slices (the
-	// seam-reconcile overhead), and measured instructions trimmed at seams
-	// (interior-slice overshoot reconciled away).
-	Slices          *Counter
-	SliceSeamCycles *Counter
-	SliceSeamInsts  *Counter
-
 	// Prof attributes the simulator's own wall time per pipeline stage;
 	// shared by every simulation that runs with these counters attached.
 	Prof *StageProf
@@ -102,9 +94,7 @@ func (s *SimCounters) PoolReuseRatio() float64 {
 //	pfe_watchdog_trips_total, pfe_cell_retries_total,
 //	pfe_cell_failures_total, pfe_journal_fsync_seconds,
 //	pfe_sample_windows_total, pfe_sample_gap_instructions_total,
-//	pfe_sample_fallback_steps_total, pfe_sample_ci_halfwidth,
-//	pfe_slice_slices_total, pfe_slice_seam_cycles_total,
-//	pfe_slice_seam_trimmed_instructions_total
+//	pfe_sample_fallback_steps_total, pfe_sample_ci_halfwidth
 func NewSimCounters(r *Registry) *SimCounters {
 	s := &SimCounters{Prof: NewStageProf(0)}
 	if r == nil {
@@ -124,9 +114,6 @@ func NewSimCounters(r *Registry) *SimCounters {
 		s.SampleGapInsts = NewCounter()
 		s.SampleFallback = NewCounter()
 		s.SampleCI = NewHistogram(sampleCIBounds)
-		s.Slices = NewCounter()
-		s.SliceSeamCycles = NewCounter()
-		s.SliceSeamInsts = NewCounter()
 		return s
 	}
 	s.Cycles = r.Counter("pfe_cycles_total", "Simulated cycles across all runs (warmup included).")
@@ -145,9 +132,6 @@ func NewSimCounters(r *Registry) *SimCounters {
 	s.SampleGapInsts = r.Counter("pfe_sample_gap_instructions_total", "Gap instructions fast-forwarded through functional warming in sampled runs.")
 	s.SampleFallback = r.Counter("pfe_sample_fallback_steps_total", "Instructions served by tape readers' live-emulation fallback during sampled runs.")
 	s.SampleCI = r.Histogram("pfe_sample_ci_halfwidth", "Final sampled-IPC 95% confidence half-width per sampled run.", sampleCIBounds)
-	s.Slices = r.Counter("pfe_slice_slices_total", "Tape slices simulated by time-parallel runs.")
-	s.SliceSeamCycles = r.Counter("pfe_slice_seam_cycles_total", "Overlapped warmup cycles spent re-entering interior slices (seam-reconcile overhead).")
-	s.SliceSeamInsts = r.Counter("pfe_slice_seam_trimmed_instructions_total", "Measured instructions trimmed at slice seams (interior overshoot reconciled away).")
 	r.GaugeFunc("pfe_pool_reuse_ratio", "Fraction of free-list gets satisfied by a recycled object.", s.PoolReuseRatio)
 	r.GaugeFunc("pfe_running_ipc", "Aggregate committed instructions per simulated cycle across all runs.", s.RunningIPC)
 	for _, st := range Stages() {

@@ -140,11 +140,11 @@ type CellTiming struct {
 }
 
 // phase names whose durations count as "build" and "sim" in the breakdown.
-// The sim set holds the mutually exclusive top-level work phases of the three
-// run modes (full, sampled, sliced); their children are not double counted.
+// The sim set holds the mutually exclusive top-level work phases of the two
+// run modes (full, sampled); their children are not double counted.
 var (
 	buildPhases = map[string]bool{"program-build": true, "tape-build": true}
-	simPhases   = map[string]bool{"sim": true, "window": true, "gap-warm": true, "slice": true}
+	simPhases   = map[string]bool{"sim": true, "window": true, "gap-warm": true}
 )
 
 // CellTimings derives the per-cell breakdown from a trace's records.

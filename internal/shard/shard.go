@@ -1,6 +1,5 @@
-// Package shard is the deterministic work-stealing task pool shared by the
-// experiment sweep machinery (cells across a config grid) and the
-// time-parallel simulation slicer (tape-indexed slices of one long run).
+// Package shard is the deterministic work-stealing task pool behind the
+// experiment sweep machinery (cells across a config grid).
 // Scheduling never perturbs results: tasks are identified by index, victims
 // are scanned in a fixed order, and callers combine outcomes by index, so a
 // batch is bit-identical across worker counts.

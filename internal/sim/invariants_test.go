@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/parallel-frontend/pfe/internal/core"
@@ -99,5 +100,43 @@ func TestWarmupDoesNotChangeSteadyState(t *testing.T) {
 	t.Logf("IPC at 100K warmup %.3f, at 160K warmup %.3f", a, b)
 	if diff := (a - b) / b; diff > 0.12 || diff < -0.12 {
 		t.Errorf("steady state depends on warmup: %.3f vs %.3f", a, b)
+	}
+}
+
+// TestEndCountersCheck drives the end-of-run invariant checker with crafted
+// counters: each broken invariant must fail with an error naming its
+// counter, and the boundary cases of a healthy run must pass.
+func TestEndCountersCheck(t *testing.T) {
+	ok := endCounters{measure: 1000, commitWidth: 16, committed: 1000, ipc: 2.5,
+		fetched: 1500, renamed: 1400, committedAll: 1300}
+	cases := []struct {
+		name   string
+		mutate func(*endCounters)
+		want   string // substring of the error; empty = must pass
+	}{
+		{"healthy", func(c *endCounters) {}, ""},
+		{"last commit group overshoots", func(c *endCounters) { c.committed = 1015 }, ""},
+		{"fetched equals committed", func(c *endCounters) { c.fetched = c.committedAll }, ""},
+		{"IPC at commit width", func(c *endCounters) { c.ipc = 16 }, ""},
+		{"halted short of budget", func(c *endCounters) { c.halted, c.committed = true, 400 }, ""},
+		{"short of budget", func(c *endCounters) { c.committed = 999 }, "measured committed 999"},
+		{"overshoot of a full group", func(c *endCounters) { c.committed = 1016 }, "measured committed 1016"},
+		{"halted past budget", func(c *endCounters) { c.halted, c.committed = true, 1016 }, "measured committed"},
+		{"IPC past commit width", func(c *endCounters) { c.ipc = 16.5 }, "IPC 16.5"},
+		{"fetched below committed", func(c *endCounters) { c.fetched = 1299 }, "fetched 1299"},
+		{"renamed below committed", func(c *endCounters) { c.renamed = 1299 }, "renamed 1299"},
+	}
+	for _, tc := range cases {
+		c := ok
+		tc.mutate(&c)
+		err := c.check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: passed, want an error naming %q", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -135,10 +135,6 @@ type Result struct {
 	Committed int64
 	IPC       float64
 
-	// WarmupCycles is how many cycles the warmup phase consumed before
-	// measurement began — per-slice provenance for time-parallel runs.
-	WarmupCycles uint64
-
 	FrontEnd core.Stats
 
 	// Fragment predictor behaviour over the whole run (the predictor is
@@ -485,17 +481,12 @@ func (s *Sim) Result() (*Result, error) {
 		s.err = fmt.Errorf("sim: %s/%s finished before warmup completed", cfg.FrontEnd.Name, s.p.Name)
 		return nil, s.err
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.SimsCompleted.Inc()
-	}
-
 	res := &Result{
-		Bench:        s.p.Name,
-		Config:       cfg.FrontEnd.Name,
-		Cycles:       s.now - s.baseCycle,
-		Committed:    s.be.Committed() - s.baseCommit,
-		WarmupCycles: s.baseCycle,
-		FrontEnd:     subStats(*s.fe.Stats(), s.baseStats),
+		Bench:     s.p.Name,
+		Config:    cfg.FrontEnd.Name,
+		Cycles:    s.now - s.baseCycle,
+		Committed: s.be.Committed() - s.baseCommit,
+		FrontEnd:  subStats(*s.fe.Stats(), s.baseStats),
 	}
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Committed) / float64(res.Cycles)
@@ -516,8 +507,62 @@ func (s *Sim) Result() (*Result, error) {
 		res.StageSeconds = s.prof.Seconds()
 	}
 	res.Pool = s.fe.PoolStats()
+	whole := s.fe.Stats()
+	if err := (endCounters{
+		measure:      cfg.MeasureInsts,
+		commitWidth:  s.be.CommitWidth(),
+		halted:       s.stream.Done(),
+		committed:    res.Committed,
+		ipc:          res.IPC,
+		fetched:      whole.Fetched,
+		renamed:      whole.Renamed,
+		committedAll: s.be.Committed(),
+	}).check(); err != nil {
+		s.err = fmt.Errorf("sim: %s/%s: %w", cfg.FrontEnd.Name, s.p.Name, err)
+		return nil, s.err
+	}
+	if cfg.Obs != nil {
+		cfg.Obs.SimsCompleted.Inc()
+	}
 	s.res = res
 	return res, nil
+}
+
+// endCounters are the counters the end-of-run model invariants read.
+// measure and committed are the measurement period's budget and commits;
+// fetched, renamed and committedAll cover the whole run, warmup included.
+type endCounters struct {
+	measure      int64
+	commitWidth  int
+	halted       bool // the program ran out before the budget was met
+	committed    int64
+	ipc          float64
+	fetched      int64
+	renamed      int64
+	committedAll int64
+}
+
+// check returns an error naming the first counter that breaks a model
+// invariant. The run stops on the first cycle whose commits reach the
+// budget, so unless the program halted first, measured commits land in
+// [measure, measure+commitWidth). No cycle commits more than commitWidth,
+// and every committed instruction was fetched and renamed first. A
+// violation is a model bug, never noise.
+func (c endCounters) check() error {
+	w := int64(c.commitWidth)
+	if c.committed >= c.measure+w || (!c.halted && c.committed < c.measure) {
+		return fmt.Errorf("invariant: measured committed %d outside [%d, %d)", c.committed, c.measure, c.measure+w)
+	}
+	if c.ipc > float64(c.commitWidth) {
+		return fmt.Errorf("invariant: IPC %g exceeds commit width %d", c.ipc, c.commitWidth)
+	}
+	if c.fetched < c.committedAll {
+		return fmt.Errorf("invariant: fetched %d below committed %d", c.fetched, c.committedAll)
+	}
+	if c.renamed < c.committedAll {
+		return fmt.Errorf("invariant: renamed %d below committed %d", c.renamed, c.committedAll)
+	}
+	return nil
 }
 
 // Run executes the benchmark p under cfg.

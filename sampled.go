@@ -76,7 +76,7 @@ func measuredSpan(tape *artifact.Tape, opts RunOptions) (int64, error) {
 }
 
 // warmer functionally replays the skipped stream through the long-lived
-// machine state a detailed window or slice inherits from its prefix: every
+// machine state a detailed window inherits from its prefix: every
 // instruction touches the L1I, memory operations touch the L1D, and the
 // fragment-granular structures (fragment predictor, live-out predictor,
 // trace cache) are trained by emulating the fetch stream's true-path
@@ -581,11 +581,10 @@ func runSampled(pspec program.Spec, p *program.Program, tape *artifact.Tape, m M
 	return res, nil
 }
 
-// aggregateSim combines per-piece measurements (sampling windows or
-// time-parallel slices) into one logical run: counters and self-profile
-// stage seconds sum, rates are committed-weighted means, histograms merge. A single piece passes through
-// untouched so a degenerate sampled/sliced run stays bit-identical to the
-// serial one.
+// aggregateSim combines per-window measurements into one logical run:
+// counters and self-profile stage seconds sum, rates are committed-weighted
+// means, histograms merge. A single window passes through untouched so a
+// degenerate sampled run stays bit-identical to the serial one.
 func aggregateSim(parts []*sim.Result) *sim.Result {
 	if len(parts) == 1 {
 		return parts[0]

@@ -213,44 +213,6 @@ func TestWarmStateUnionWarming(t *testing.T) {
 	}
 }
 
-// TestWarmStateSlicedBitIdentical is the same guarantee for time-parallel
-// runs: interior slices restoring their boundary snapshots produce the
-// exact result of slices that replayed their prefixes.
-func TestWarmStateSlicedBitIdentical(t *testing.T) {
-	m := Preset(PR2x8w)
-	opts := RunOptions{WarmupInsts: 20_000, MeasureInsts: 1_600_000, Slices: 3}
-	baseline, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	cold := artifact.New(0)
-	cold.SetStore(openStoreT(t, dir), nil)
-	opts.Artifacts = cold
-	built, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, built) {
-		t.Fatal("snapshot-building sliced run diverged from plain run")
-	}
-	if s := cold.Stats(); s.WarmMisses != 2 {
-		t.Fatalf("warm misses = %d, want 2 (one per interior slice past the gate)", s.WarmMisses)
-	}
-
-	disk := artifact.New(0)
-	disk.SetStore(openStoreT(t, dir), nil)
-	opts.Artifacts = disk
-	restored, err := Run("gcc", m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, restored) {
-		t.Fatal("disk-restored sliced run diverged from plain run")
-	}
-}
-
 // TestWarmStateQuarantineFallback poisons a stored snapshot (checksum-valid
 // frame, semantically broken payload) and proves the run survives: the blob
 // is quarantined, the prefix replayed, and the result stays bit-identical.
