@@ -231,23 +231,38 @@ func TestSampleSlicesUsageError(t *testing.T) {
 	}
 }
 
-// TestInjectUsageError pins the -inject gate end to end: an unknown fault
-// mode, the retired fabric worker modes and network chaos rules included,
-// is a usage error (exit 2) diagnosed before any simulation starts.
-func TestInjectUsageError(t *testing.T) {
+// TestFabricFlagValidation pins the -inject gate end to end: an unknown
+// fault mode is a usage error (exit 2) diagnosed before any simulation
+// starts. The distributed fabric and its flags are gone, so its network
+// chaos rules and its kill worker mode now fail the same way.
+func TestFabricFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess integration test")
 	}
 	pb := bin(t)
-	for _, spec := range []string{"gzip/W16=frobnicate", "gzip/W16=kill:2", "net/report=drop"} {
-		out, err := exec.Command(pb, benchArgs("-inject", spec)...).CombinedOutput()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Fatalf("-inject %s: exit = %v, want usage error code 2\n%s", spec, err, out)
-		}
-		if !strings.Contains(string(out), "mode must be") && !strings.Contains(string(out), "want bench/key=mode") {
-			t.Errorf("-inject %s: stderr does not explain the rejection:\n%s", spec, out)
-		}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown inject mode", benchArgs("-inject", "gzip/W16=frobnicate"), "mode must be"},
+		{"chaos without fabric", benchArgs("-inject", "net/report=drop"), "mode must be"},
+		{"retired kill mode", benchArgs("-inject", "gzip/W16=kill:2"), "mode must be"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(pb, tc.args...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want usage error (2); stderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q does not explain the rejection (want %q)", stderr.String(), tc.want)
+			}
+		})
 	}
 }
 
